@@ -1,10 +1,10 @@
 // bench_serve_throughput — the serving layer's two headline numbers:
 //
-//  1. Batched predictor inference: N latency queries answered by ONE packed
-//     block-diagonal GCN forward (Engine::predict_batch) vs N serial
-//     predict_latency calls. Answers are bit-identical (asserted in
-//     tests/test_predictor.cpp); the speedup is pure per-forward overhead
-//     amortisation.
+//  1. Batched predictor inference: N latency queries answered by ONE
+//     Engine::predict_batch call (per-graph tape-free forwards split across
+//     the pool) vs N serial predict_latency calls. Answers are bit-identical
+//     (asserted in tests/test_predictor.cpp); the speedup is per-call
+//     overhead amortisation plus, for the pooled record, the graph split.
 //  2. Service throughput: requests/sec of a mixed pure load (predictions +
 //     deployment profiles) through serve::Service at 1 / 2 / 4 workers,
 //     one shared EvalContext, num_threads pinned to 1 so worker scaling is
@@ -93,11 +93,10 @@ int main(int argc, char** argv) {
     json.add("predict/serial", serial_ms, problem);
     json.add("predict/batched", batch_ms, problem, speedup, "x");
 
-    // The deployment configuration: the packed forward hands the pool one
-    // large matmul / fused-scatter per layer where per-query forwards stay
-    // below the parallel grain — so batching is also what unlocks kernel
-    // parallelism. (Identical numbers to the pool-of-1 records on a
-    // single-core host.)
+    // The deployment configuration: a batch splits its graphs across the
+    // pool where a lone query runs on one thread — so batching is also
+    // what unlocks parallelism. (Identical numbers to the pool-of-1
+    // records on a single-core host.)
     const std::int64_t hw = core::hardware_threads();
     core::ScopedNumThreads pooled(hw);
     double pooled_ms = 1e300;

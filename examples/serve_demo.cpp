@@ -5,7 +5,7 @@
 // devices' labelled-architecture collection — the dominant predictor cost —
 // through ONE pooled measurement queue (EvalContext::create_many), then a
 // mixed request load hits both services concurrently: searches (exclusive,
-// FIFO), latency predictions (coalesced into packed GCN forwards) and
+// FIFO), latency predictions (coalesced into batched GCN forwards) and
 // deployment profiles (pure, parallel).
 #include <cstdio>
 #include <future>

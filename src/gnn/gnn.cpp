@@ -428,44 +428,6 @@ Tensor GcnLayer::forward(const Tensor& x, const graph::EdgeList& g) {
         inv_sqrt[static_cast<std::size_t>(v)] *
         inv_sqrt[static_cast<std::size_t>(v)];
 
-  if (!detail::grad_enabled() && reduce_ == Reduce::Sum) {
-    // Fused inference path: reduce each scaled message straight into its
-    // destination row instead of materialising the [E, out] matrix — the
-    // matrix is what makes a large (or block-diagonally packed, see
-    // predictor::predict_batch_ms) graph fall out of cache. Edges are
-    // visited per destination in ascending order and the self-loop term is
-    // added after the accumulated sum, mirroring the reference
-    // gather/scale/scatter/add pipeline below operation for operation.
-    // Bit-for-bit identity with that pipeline is asserted in
-    // tests/test_gnn.cpp; the top-level -ffp-contract=off keeps the
-    // compiler from fusing the mul+add below into an FMA the reference's
-    // stored intermediate can't use, so it holds for HG_NATIVE builds too.
-    const std::int64_t c = h.shape()[1];
-    const auto hd = h.data();
-    const detail::IndexCsr by_dst =
-        detail::group_by_index(g.dst, n, "GcnLayer");
-    std::vector<float> out(static_cast<std::size_t>(n * c), 0.f);
-    const std::int64_t grain =
-        std::max<std::int64_t>(1, 2048 / std::max<std::int64_t>(1, c));
-    core::parallel_for(0, n, grain, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t v = lo; v < hi; ++v) {
-        float* orow = out.data() + v * c;
-        const std::int64_t b = by_dst.row_ptr[static_cast<std::size_t>(v)];
-        const std::int64_t t =
-            by_dst.row_ptr[static_cast<std::size_t>(v) + 1];
-        for (std::int64_t s = b; s < t; ++s) {
-          const std::int64_t e = by_dst.items[static_cast<std::size_t>(s)];
-          const float* hrow =
-              hd.data() + g.src[static_cast<std::size_t>(e)] * c;
-          simd::axpy(orow, scale[static_cast<std::size_t>(e)], hrow, c);
-        }
-        simd::axpy(orow, self_scale[static_cast<std::size_t>(v)],
-                   hd.data() + v * c, c);
-      }
-    });
-    return Tensor::from_vector({n, c}, std::move(out));
-  }
-
   Tensor msgs = gather_rows(h, g.src);  // [E, out]
   const auto num_scaled = static_cast<std::int64_t>(scale.size());
   Tensor scale_t = Tensor::from_vector({num_scaled, 1}, std::move(scale));

@@ -16,8 +16,8 @@
 //       version before dropping it (see encode_version_farewell), so an
 //       old client sees a clean typed error, not a silent hangup.
 //       Later v2 addition: kPredictBatchN, a multi-predict frame the
-//       server hands to the service as ONE unit of work (the packed
-//       block-diagonal forward) instead of N queued requests. Same
+//       server hands to the service as ONE unit of work (one
+//       predict_batch call) instead of N queued requests. Same
 //       payload codecs as kPredictBatch; an older v2 peer that does not
 //       know the type answers it with a typed INVALID_ARGUMENT reply, so
 //       a client can detect and fall back.
@@ -91,8 +91,8 @@ enum class FrameType : std::uint16_t {
   /// protocol v2.
   kPing = 8,
   /// N latency predictions in one frame, submitted to the service as ONE
-  /// unit of work (serve::PredictBatchRequest -> the packed block-diagonal
-  /// forward) rather than N separate queue entries like kPredictBatch.
+  /// unit of work (serve::PredictBatchRequest -> one predict_batch call)
+  /// rather than N separate queue entries like kPredictBatch.
   /// Payload: encode_predict_batch_request; reply:
   /// encode_predict_batch_reply (one Result per element, in order). A
   /// batch larger than kMaxWireBatch is refused up front with per-element
@@ -110,7 +110,7 @@ enum class FrameType : std::uint16_t {
 inline constexpr std::uint16_t kReplyBit = 0x80;
 
 /// Largest element count a server accepts in one kPredictBatchN frame.
-/// Bounds the block-diagonal forward a single frame can demand (the
+/// Bounds the predictor work a single frame can demand (the
 /// payload byte cap alone would admit ~100k tiny archs).
 inline constexpr std::size_t kMaxWireBatch = 4096;
 

@@ -613,8 +613,8 @@ struct Server::Impl {
                           "malformed predict-batch request payload"));
           return;
         }
-        // One service submission per element: the coalescing queue packs
-        // them back into block-diagonal forwards, and a bad element fails
+        // One service submission per element: the coalescing queue batches
+        // them back into predict_batch calls, and a bad element fails
         // alone. The shared notify fires per element; the reply goes out
         // when the last future resolves.
         std::vector<std::future<api::Result<api::LatencyReport>>> futures;
@@ -652,7 +652,7 @@ struct Server::Impl {
           return;
         }
         // ONE submission for the whole frame: the service runs it as a
-        // single unit of work (the packed block-diagonal forward) instead
+        // single unit of work (one predict_batch call) instead
         // of N queue entries racing N other connections' elements.
         p.future = service->submit(
             serve::PredictBatchRequest{std::move(archs), std::move(opts)});

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/parallel.hpp"
+#include "core/simd.hpp"
 #include "pointcloud/pointcloud.hpp"
 #include "tensor/optim.hpp"
 
@@ -216,68 +218,209 @@ double LatencyPredictor::predict_ms(const hgnas::Arch& arch) {
   return predict_batch_ms(std::span<const hgnas::Arch>(&arch, 1))[0];
 }
 
+double LatencyPredictor::predict_ms_reference(const hgnas::Arch& arch) {
+  NoGradGuard ng;
+  return score_to_ms(
+      forward(arch_to_graph(arch, workload_, cfg_.device_slot)).item());
+}
+
+double LatencyPredictor::score_to_ms(float score) const {
+  if (!std::isfinite(score))
+    throw std::runtime_error("predictor: non-finite score " +
+                             std::to_string(score));
+  return std::max(0.0, static_cast<double>(score) * scale_ms_);
+}
+
+namespace {
+
+// ---- tape-free inference ----------------------------------------------------
+//
+// Every helper below performs the float operations of the tape op it
+// replaces, in the same order, so the result is byte-equal to forward():
+// matmul accumulates from +0 in ascending p with raw_matmul's zero-skip,
+// scatter_reduce sums each destination's edges in ascending edge order, and
+// the unary lambdas are spelled exactly as in tensor.cpp. The top-level
+// -ffp-contract=off keeps the compiler from fusing a mul+add the tape
+// rounds twice.
+
+/// One nn::Linear, read in place from its parameter tensors.
+struct Dense {
+  const float* w = nullptr;  // [in, out]
+  const float* b = nullptr;  // [out]
+  std::int64_t in = 0, out = 0;
+};
+
+/// The predictor's linears in parameters() order: each nn::Linear yields
+/// weight [in, out] then bias [out].
+std::vector<Dense> dense_layers(const std::vector<Tensor>& params) {
+  check(params.size() % 2 == 0, "inference: unpaired linear parameters");
+  std::vector<Dense> layers;
+  for (std::size_t i = 0; i < params.size(); i += 2) {
+    const Tensor& w = params[i];
+    const Tensor& b = params[i + 1];
+    check(w.dim() == 2 && b.dim() == 1 && b.shape()[0] == w.shape()[1],
+          "inference: expected linear weight/bias pairs");
+    layers.push_back(
+        Dense{w.data().data(), b.data().data(), w.shape()[0], w.shape()[1]});
+  }
+  return layers;
+}
+
+constexpr std::int64_t kDenseCols = 32;
+
+/// Columns [j0, j0 + nc) of y_row = x_row @ w + b, nc <= kDenseCols, over
+/// the row's non-zero inputs `nz` (ascending p: raw_matmul's zero-skip).
+/// The block's partial sums stay in registers while the inputs stream
+/// past, each starting at +0. kFull fixes nc = kDenseCols so the loop
+/// unrolls.
+template <bool kFull>
+void dense_block(const Dense& l, const float* xr,
+                 std::span<const std::int32_t> nz, std::int64_t j0,
+                 std::int64_t nc, float* yr) {
+  const std::int64_t cols = kFull ? kDenseCols : nc;
+  float acc[kDenseCols] = {};
+  for (const std::int32_t p : nz) {
+    const float av = xr[p];
+    const float* wr = l.w + p * l.out + j0;
+#if defined(__GNUC__) && !defined(__clang__)
+// Without it gcc unroll-and-jams the p loop and scalarises the block.
+#pragma GCC unroll 32
+#endif
+    for (std::int64_t j = 0; j < cols; ++j) acc[j] += av * wr[j];
+  }
+  for (std::int64_t j = 0; j < cols; ++j) yr[j0 + j] = acc[j] + l.b[j0 + j];
+}
+
+/// y[rows, out] = x[rows, in] @ w + b; `nz` is scratch of at least l.in.
+void dense_forward(const Dense& l, const float* x, std::int64_t rows,
+                   float* y, std::int32_t* nz) {
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* xr = x + i * l.in;
+    float* yr = y + i * l.out;
+    std::int64_t n_nz = 0;
+    for (std::int64_t p = 0; p < l.in; ++p) {
+      nz[n_nz] = static_cast<std::int32_t>(p);
+      n_nz += xr[p] != 0.f;
+    }
+    const std::span<const std::int32_t> live(
+        nz, static_cast<std::size_t>(n_nz));
+    std::int64_t j0 = 0;
+    for (; j0 + kDenseCols <= l.out; j0 += kDenseCols)
+      dense_block<true>(l, xr, live, j0, kDenseCols, yr);
+    if (j0 < l.out) dense_block<false>(l, xr, live, j0, l.out - j0, yr);
+  }
+}
+
+void relu_inplace(float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.f ? x[i] : 0.f;
+}
+
+/// Per-thread buffers, reused across the graphs of one pool chunk.
+struct Scratch {
+  std::vector<float> x, h, inv_sqrt;
+  std::vector<std::int32_t> nz;
+};
+
+}  // namespace
+
 std::vector<double> LatencyPredictor::predict_batch_ms(
     std::span<const hgnas::Arch> archs) {
   if (archs.empty()) return {};
-  NoGradGuard ng;
-  const auto n_graphs = static_cast<std::int64_t>(archs.size());
+  const std::vector<Tensor> params = parameters();
+  const std::vector<Dense> layers = dense_layers(params);
+  check(layers.size() == gcn_.size() + cfg_.mlp_dims.size(),
+        "inference: layer count mismatch");
+  const std::span<const Dense> gcn(layers.data(), gcn_.size());
+  const std::span<const Dense> mlp(layers.data() + gcn_.size(),
+                                   cfg_.mlp_dims.size());
+  std::int64_t width = kFeatureDim;
+  for (const Dense& l : layers) width = std::max(width, l.out);
 
-  // Pack the N architecture graphs block-diagonally: node ids offset per
-  // graph, features stacked row-wise, and a node -> graph segment index for
-  // the readout. No edge crosses a graph boundary, and every kernel below
-  // (GCN normalisation, gather/scatter, row-wise linears) is local to a
-  // node/edge/row, so the packed pass computes exactly what N separate
-  // forwards would.
-  std::vector<ArchGraph> graphs;
-  graphs.reserve(archs.size());
-  std::int64_t total_nodes = 0, total_edges = 0;
-  for (const hgnas::Arch& arch : archs) {
-    graphs.push_back(arch_to_graph(arch, workload_, cfg_.device_slot));
-    total_nodes += graphs.back().edges.num_nodes;
-    total_edges += graphs.back().edges.num_edges();
-  }
-  graph::EdgeList packed;
-  packed.num_nodes = total_nodes;
-  packed.src.reserve(static_cast<std::size_t>(total_edges));
-  packed.dst.reserve(static_cast<std::size_t>(total_edges));
-  std::vector<float> feat;
-  feat.reserve(static_cast<std::size_t>(total_nodes * kFeatureDim));
-  std::vector<std::int64_t> graph_of;
-  graph_of.reserve(static_cast<std::size_t>(total_nodes));
-  std::int64_t offset = 0;
-  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
-    const ArchGraph& g = graphs[gi];
-    for (std::size_t e = 0; e < g.edges.src.size(); ++e) {
-      packed.add_edge(g.edges.src[e] + offset, g.edges.dst[e] + offset);
+  // Runs the MLP over `rows` rows held in s.x; the output lands in s.x.
+  auto run_mlp = [&](Scratch& s, std::int64_t rows) {
+    for (std::size_t li = 0; li < mlp.size(); ++li) {
+      const Dense& l = mlp[li];
+      dense_forward(l, s.x.data(), rows, s.h.data(), s.nz.data());
+      const std::int64_t n = rows * l.out;
+      if (li + 1 < mlp.size()) {
+        relu_inplace(s.h.data(), n);
+      } else if (!cfg_.log_space_output) {
+        const float slope = cfg_.leaky_slope;
+        for (std::int64_t i = 0; i < n; ++i)
+          s.h[i] = s.h[i] > 0.f ? s.h[i] : slope * s.h[i];
+      }
+      std::swap(s.x, s.h);
     }
-    const auto gd = g.features.data();
-    feat.insert(feat.end(), gd.begin(), gd.end());
-    graph_of.insert(graph_of.end(),
-                    static_cast<std::size_t>(g.edges.num_nodes),
-                    static_cast<std::int64_t>(gi));
-    offset += g.edges.num_nodes;
-  }
+  };
 
-  Tensor h = Tensor::from_vector({total_nodes, kFeatureDim}, std::move(feat));
-  for (auto& layer : gcn_) h = relu(layer->forward(h, packed));
-  Tensor out;  // [n_graphs, 1]
-  if (cfg_.log_space_output) {
-    // Additive head (see forward()): per-node softplus contributions,
-    // segment-summed per graph in ascending node order — the same
-    // accumulation sequence as a lone forward's sum_all.
-    Tensor z = mlp_->forward(h);  // [total_nodes, 1]
-    Tensor contrib = add(relu(z), log_op(add(exp_op(neg(abs_op(z))), 1.f)));
-    out = scatter_reduce(contrib, graph_of, n_graphs, Reduce::Sum);
-  } else {
-    Tensor pooled = scatter_reduce(h, graph_of, n_graphs, Reduce::Mean);
-    out = mlp_->forward(pooled);
-  }
+  // One graph's forward: the GCN layers (linear, symmetric-normalised sum
+  // over incoming edges then the self-loop term, ReLU), then the head.
+  auto score = [&](const ArchGraph& g, Scratch& s) -> float {
+    const std::int64_t n = g.edges.num_nodes;
+    const std::size_t cap = static_cast<std::size_t>(n * width);
+    if (s.x.size() < cap) s.x.resize(cap);
+    if (s.h.size() < cap) s.h.resize(cap);
+    const auto feat = g.features.data();
+    std::copy(feat.begin(), feat.end(), s.x.begin());
 
+    s.inv_sqrt.assign(static_cast<std::size_t>(n), 1.f);
+    for (const std::int64_t d : g.edges.dst)
+      s.inv_sqrt[static_cast<std::size_t>(d)] += 1.f;
+    for (float& v : s.inv_sqrt) v = 1.f / std::sqrt(v);
+    const float* inv = s.inv_sqrt.data();
+
+    for (const Dense& l : gcn) {
+      const std::int64_t c = l.out;
+      dense_forward(l, s.x.data(), n, s.h.data(), s.nz.data());
+      float* out = s.x.data();
+      const float* h = s.h.data();
+      std::fill(out, out + n * c, 0.f);
+      for (std::size_t e = 0; e < g.edges.src.size(); ++e) {
+        const std::int64_t u = g.edges.src[e], v = g.edges.dst[e];
+        simd::axpy(out + v * c, inv[u] * inv[v], h + u * c, c);
+      }
+      for (std::int64_t v = 0; v < n; ++v)
+        simd::axpy(out + v * c, inv[v] * inv[v], h + v * c, c);
+      relu_inplace(out, n * c);
+    }
+    const std::int64_t d = gcn.back().out;
+
+    if (!cfg_.log_space_output) {
+      // Global mean pool, then the MLP on the pooled row.
+      std::vector<float>& pooled = s.h;
+      std::fill(pooled.begin(), pooled.begin() + d, 0.f);
+      for (std::int64_t v = 0; v < n; ++v)
+        simd::accumulate(pooled.data(), s.x.data() + v * d, d);
+      for (std::int64_t j = 0; j < d; ++j)
+        s.x[j] = pooled[j] / static_cast<float>(n);
+      run_mlp(s, 1);
+      return s.x[0];
+    }
+    // Additive head (see forward()): softplus per-node scores summed in
+    // node order.
+    run_mlp(s, n);
+    float total = 0.f;
+    for (std::int64_t v = 0; v < n; ++v) {
+      const float z = s.x[v];
+      total += (z > 0.f ? z : 0.f) + std::log(std::exp(-std::fabs(z)) + 1.f);
+    }
+    return total;
+  };
+
+  // Graphs are independent, so splitting them across the pool cannot change
+  // any answer.
   std::vector<double> result(archs.size());
-  for (std::int64_t i = 0; i < n_graphs; ++i) {
-    result[static_cast<std::size_t>(i)] =
-        std::max(0.0, static_cast<double>(out.at({i, 0})) * scale_ms_);
-  }
+  core::parallel_for(
+      0, static_cast<std::int64_t>(archs.size()), 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        Scratch s;
+        s.nz.resize(static_cast<std::size_t>(width));
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          result[k] = score_to_ms(score(
+              arch_to_graph(archs[k], workload_, cfg_.device_slot), s));
+        }
+      });
   return result;
 }
 
@@ -333,10 +476,15 @@ PredictorMetrics LatencyPredictor::evaluate(
     const std::vector<LabeledArch>& test) {
   check(!test.empty(), "evaluate: empty test set");
   PredictorMetrics m;
+  std::vector<hgnas::Arch> archs;
+  archs.reserve(test.size());
+  for (const auto& s : test) archs.push_back(s.arch);
+  const std::vector<double> preds = predict_batch_ms(archs);
   double se = 0.0;
   std::int64_t within = 0;
-  for (const auto& s : test) {
-    const double pred = predict_ms(s.arch);
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    const LabeledArch& s = test[i];
+    const double pred = preds[i];
     const double rel = std::abs(pred - s.latency_ms) / s.latency_ms;
     m.mape += rel;
     if (rel <= 0.10) ++within;

@@ -110,15 +110,21 @@ class LatencyPredictor final : public nn::Module {
   /// through predict_batch_ms at batch size 1.
   double predict_ms(const hgnas::Arch& arch);
 
-  /// Predicted latencies for N architectures through ONE packed GCN
-  /// forward: the N architecture graphs are stacked block-diagonally
-  /// (node ids offset, features concatenated) so every GCN layer runs a
-  /// single adjacency pass, and the readout segment-reduces per graph.
-  /// All GCN/MLP arithmetic is per-node/per-edge/per-row local, so each
-  /// element is bit-for-bit identical to a lone predict_ms of that
-  /// architecture — batching changes wall clock, never answers. Safe to
-  /// call concurrently (forward passes only read the trained weights).
+  /// Predicted latencies for N architectures. Each architecture runs its
+  /// own tape-free forward (no Tensor, no autograd node: linears,
+  /// normalised aggregation and readout over per-thread scratch buffers,
+  /// reading the weights in place), and the N graphs are split across the
+  /// pool. Every float operation replays the tape forward fit() trains
+  /// through, in the same order, so element i is byte-equal to
+  /// predict_ms_reference(archs[i]) for any batch composition and pool
+  /// width. Throws std::runtime_error when a score is not finite (a NaN
+  /// is not a latency). Safe to call concurrently (inference only reads
+  /// the trained weights).
   std::vector<double> predict_batch_ms(std::span<const hgnas::Arch> archs);
+
+  /// The same prediction through the differentiable tape forward fit()
+  /// trains: the reference predict_batch_ms is tested byte-equal against.
+  double predict_ms_reference(const hgnas::Arch& arch);
 
   /// Train on labelled architectures (MAPE loss, Adam). Returns final
   /// training-set MAPE.
@@ -132,6 +138,7 @@ class LatencyPredictor final : public nn::Module {
 
  private:
   Tensor forward(const ArchGraph& g);
+  double score_to_ms(float score) const;
 
   PredictorConfig cfg_;
   hgnas::Workload workload_;

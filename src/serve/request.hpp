@@ -82,8 +82,8 @@ struct SearchRequest {
 };
 
 /// One latency query through the service's configured evaluator. With
-/// evaluator "predictor", queued requests are coalesced into one packed
-/// GCN forward (Engine::predict_batch) — the answer is bit-identical to an
+/// evaluator "predictor", queued requests are coalesced into one
+/// Engine::predict_batch call — the answer is bit-identical to an
 /// uncoalesced query, only cheaper. ServiceConfig::predict_window_us adds
 /// a time window so trickle traffic coalesces too.
 struct PredictLatencyRequest {
@@ -92,11 +92,10 @@ struct PredictLatencyRequest {
 };
 
 /// N latency queries submitted as ONE unit of work: the whole batch is
-/// fed straight into Engine::predict_batch (the packed block-diagonal
-/// forward) instead of being queued as N separate requests. The future
+/// fed straight into one Engine::predict_batch call instead of being queued as N separate requests. The future
 /// resolves with one Result per arch, in submission order; a bad element
-/// fails alone (the service falls back to lone queries when the packed
-/// forward rejects the batch), so every answer is bit-identical to an
+/// fails alone (the service falls back to lone queries when the batched
+/// call rejects the batch), so every answer is bit-identical to an
 /// uncoalesced submission. This is what the wire's multi-predict frame
 /// (net::FrameType::kPredictBatchN) lands on. Stats count the batch as
 /// archs.size() predict requests but one queue slot.

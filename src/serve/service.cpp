@@ -320,7 +320,7 @@ std::future<api::Result<api::LatencyReport>> Service::submit(
   }
 
   // Predictor path: park the request on the coalescing queue; a worker
-  // drains a whole batch into one packed forward (waiting out
+  // drains a whole batch into one predict_batch call (waiting out
   // predict_window_us first, when configured).
   PredictTask task;
   task.arch = std::move(req.arch);
@@ -719,7 +719,7 @@ void Service::worker_loop(std::size_t worker_index) {
         // Sleeping on top of it would stall it for nothing — and running
         // it first could stall the *predictions* past the window (a
         // profile can take seconds). So fire the batch early with
-        // whatever is queued: the packed forward is quick, the window
+        // whatever is queued: the batched forward is quick, the window
         // stays an upper bound on coalescing delay, and the pure work
         // runs right after.
         if (std::chrono::steady_clock::now() < fire_at &&
@@ -794,8 +794,8 @@ void Service::worker_loop(std::size_t worker_index) {
               if (batch[i].opts.notify) batch[i].opts.notify();
             }
           } else {
-            // One bad request (an invalid genome fails the whole packed
-            // forward) must not poison its batchmates: fall back to lone
+            // One bad request (an invalid genome fails the whole batched
+            // call) must not poison its batchmates: fall back to lone
             // queries so every request gets exactly the answer an
             // uncoalesced submission would have produced.
             for (PredictTask& t : batch) {
@@ -807,7 +807,7 @@ void Service::worker_loop(std::size_t worker_index) {
           const std::int64_t run_us = us_between(started, ended);
           service_time_us_.record_us(run_us);
           pure_service_time_us_.record_us(run_us);
-          // One packed forward serves the whole batch; the span carries
+          // One predict_batch call serves the whole batch; the span carries
           // the oldest element's attribution.
           obs::record_span("serve.predict_batch", "serve",
                            batch.front().opts.trace_id, started, ended);

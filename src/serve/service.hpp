@@ -22,9 +22,9 @@
 //     stay bit-identical to run-to-completion (see the config field).
 //   * Queued PredictLatency requests against a "predictor" evaluator are
 //     coalesced: a worker drains up to ServiceConfig::max_predict_batch of
-//     them and answers with ONE packed GCN forward
-//     (Engine::predict_batch), which is bit-identical per element to
-//     serial queries but pays the per-forward overhead once.
+//     them and answers with ONE Engine::predict_batch call, which is
+//     bit-identical per element to serial queries but pays the per-call
+//     overhead once and splits the graphs across the kernel pool.
 //
 // Admission control and queue-time guarantees (all per-request, see
 // serve/request.hpp):
@@ -37,7 +37,7 @@
 //     resolves to CANCELLED without running.
 //   * ServiceConfig::predict_window_us makes a worker that picks up a
 //     lone coalescible PredictLatency wait up to the window for more to
-//     arrive before firing the packed forward, so remote trickle traffic
+//     arrive before firing the batched forward, so remote trickle traffic
 //     still batches. 0 preserves the drain-what-is-queued behavior
 //     bit-exactly.
 //
@@ -72,7 +72,7 @@ namespace hg::serve {
 struct ServiceConfig {
   /// Worker threads (each with its own Engine on the shared context).
   std::int64_t num_workers = 2;
-  /// Most PredictLatency requests coalesced into one packed forward.
+  /// Most PredictLatency requests coalesced into one batched forward.
   /// 1 disables coalescing (every query is its own forward).
   std::int64_t max_predict_batch = 16;
   /// Bound on the number of *queued* (admitted, not yet started)
@@ -80,7 +80,7 @@ struct ServiceConfig {
   /// resolves immediately to RESOURCE_EXHAUSTED. 0 = unbounded.
   std::int64_t max_queue_depth = 0;
   /// Time-based predict-coalescing window (microseconds): a worker about
-  /// to fire a packed forward with fewer than max_predict_batch queries
+  /// to fire a batched forward with fewer than max_predict_batch queries
   /// waits until the *oldest* queued query has aged this long, giving
   /// trickle traffic (one request per connection round-trip) a chance to
   /// coalesce. 0 = fire immediately with whatever is queued (the
@@ -118,7 +118,7 @@ struct ServiceStats {
   std::int64_t requests = 0;            // everything submitted
   std::int64_t exclusive_requests = 0;  // ran on the exclusive FIFO path
   std::int64_t predict_requests = 0;    // PredictLatency submissions
-  std::int64_t predict_batches = 0;     // packed forwards actually run
+  std::int64_t predict_batches = 0;     // batched forwards actually run
   std::int64_t max_predict_batch = 0;   // largest coalesced batch seen
   std::int64_t queue_depth = 0;         // live: admitted, not yet started
   std::int64_t rejected_requests = 0;   // refused: bounded queue was full
@@ -131,7 +131,7 @@ struct ServiceStats {
   // bound of the log-linear bucket holding the quantile, so it is exact to
   // within ~25% — see obs::Histogram). queue_wait covers admission ->
   // dispatch for every queued request; service_time covers the execution
-  // of one unit of work (one task, or one packed predict forward).
+  // of one unit of work (one task, or one batched predict forward).
   std::int64_t queue_wait_p50_us = 0;
   std::int64_t queue_wait_p99_us = 0;
   std::int64_t service_time_p50_us = 0;
@@ -141,7 +141,7 @@ struct ServiceStats {
   std::int64_t exclusive_preemptions = 0;  // re-parked at slice expiry
   std::int64_t exclusive_resumes = 0;      // dispatches of a preempted task
   // The same distributions split by request kind: pure covers predict /
-  // profile / profile_baseline (and packed predict forwards), exclusive
+  // profile / profile_baseline (and batched predict forwards), exclusive
   // covers search / train_baseline / measured-evaluator traffic. A
   // preempted exclusive records one wait and one service-time sample per
   // dispatch (each slice waited and ran separately).
@@ -202,7 +202,7 @@ class Service {
   std::future<api::Result<api::SearchReport>> submit(SearchRequest req);
   std::future<api::Result<api::LatencyReport>> submit(
       PredictLatencyRequest req);
-  /// One unit of work, one packed forward, per-element results (see
+  /// One unit of work, one batched forward, per-element results (see
   /// PredictBatchRequest). An admission refusal (shutdown / draining /
   /// queue full) resolves every element with that status.
   std::future<std::vector<api::Result<api::LatencyReport>>> submit(

@@ -5,7 +5,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -175,10 +179,10 @@ TEST(Predictor, GeneralisesAndRanks) {
 }
 
 TEST(Predictor, PredictBatchEqualsSerialForwardsExactly) {
-  // The serving layer coalesces queued queries into one packed forward;
-  // that is only sound if batching can never change an answer. Exact
-  // equality, not tolerance: the block-diagonal pass must replay the very
-  // same arithmetic as N lone forwards.
+  // The serving layer coalesces queued queries into one predict_batch_ms
+  // call; that is only sound if batching can never change an answer.
+  // Exact equality, not tolerance: each graph's forward must replay the
+  // very same arithmetic as a lone query.
   Rng rng(21);
   hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
   auto train = collect_labeled_archs(dev, test_space(), test_workload(),
@@ -213,8 +217,8 @@ TEST(Predictor, PredictBatchEqualsSerialForwardsExactly) {
 }
 
 TEST(Predictor, PredictBatchExactForMeanPoolHeadToo) {
-  // Same exactness for the non-default global-mean-pool head (the packed
-  // readout segment-means instead of segment-summing).
+  // Same exactness for the non-default global-mean-pool head (the readout
+  // means the node rows, then runs the MLP on the pooled row).
   Rng rng(22);
   PredictorConfig cfg = tiny_predictor_config();
   cfg.log_space_output = false;
@@ -225,6 +229,104 @@ TEST(Predictor, PredictBatchExactForMeanPoolHeadToo) {
   const std::vector<double> batch = pred.predict_batch_ms(archs);
   for (std::size_t i = 0; i < archs.size(); ++i)
     EXPECT_DOUBLE_EQ(batch[i], pred.predict_ms(archs[i])) << "arch " << i;
+}
+
+// Widths off every vector and column-block multiple exercise both the
+// full blocks and the remainder lanes of the inference kernels; three MLP
+// layers exercise the hidden activations.
+PredictorConfig odd_predictor_config(bool log_space_output) {
+  PredictorConfig c;
+  c.gcn_dims = {37, 13};
+  c.mlp_dims = {40, 5, 1};
+  c.epochs = 4;
+  c.log_space_output = log_space_output;
+  return c;
+}
+
+bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Predictor, TapeFreeInferenceByteEqualToTapeForward) {
+  // predict_batch_ms runs its own forward without the autograd tape; every
+  // answer must be byte-equal to the tape forward fit() trains through, for
+  // both heads, at every pool width, and still after a refit (the weights
+  // are read in place, so nothing can go stale).
+  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
+  const auto train =
+      collect_labeled_archs(dev, test_space(), test_workload(), 40, 31);
+  for (const bool log_space : {true, false}) {
+    Rng rng(log_space ? 41 : 42);
+    LatencyPredictor pred(odd_predictor_config(log_space), test_workload(),
+                          rng);
+    std::vector<hgnas::Arch> archs;
+    for (int i = 0; i < 256; ++i)
+      archs.push_back(hgnas::random_arch(test_space(), rng));
+    for (int round = 0; round < 2; ++round) {
+      pred.fit(train, rng);
+      std::vector<double> reference;
+      for (const auto& a : archs)
+        reference.push_back(pred.predict_ms_reference(a));
+      for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+        core::ScopedNumThreads scoped(threads);
+        EXPECT_TRUE(bytes_equal(pred.predict_batch_ms(archs), reference))
+            << "log_space " << log_space << " fit " << round + 1
+            << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(Predictor, ConcurrentBatchesOnSharedPredictorMatchSerial) {
+  // Several callers share one fitted predictor (the service's workers do);
+  // concurrent calls on a width-2 pool must all see the serial answers.
+  Rng rng(43);
+  hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
+  const auto train =
+      collect_labeled_archs(dev, test_space(), test_workload(), 40, 33);
+  LatencyPredictor pred(odd_predictor_config(true), test_workload(), rng);
+  pred.fit(train, rng);
+  std::vector<hgnas::Arch> archs;
+  for (int i = 0; i < 48; ++i)
+    archs.push_back(hgnas::random_arch(test_space(), rng));
+  std::vector<double> serial;
+  {
+    core::ScopedNumThreads scoped(1);
+    serial = pred.predict_batch_ms(archs);
+  }
+  core::ScopedNumThreads scoped(2);
+  std::vector<std::vector<std::vector<double>>> got(4);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep)
+        got[t].push_back(pred.predict_batch_ms(archs));
+    });
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < got.size(); ++t)
+    for (const auto& r : got[t])
+      EXPECT_TRUE(bytes_equal(r, serial)) << "caller " << t;
+}
+
+TEST(Predictor, NonFiniteScoreIsAnErrorInBothHeads) {
+  // A NaN score is not a latency: the mean-pool head used to clamp it to a
+  // plausible 0 ms. Both heads must refuse it.
+  for (const bool log_space : {true, false}) {
+    Rng rng(44);
+    LatencyPredictor pred(odd_predictor_config(log_space), test_workload(),
+                          rng);
+    const hgnas::Arch a = hgnas::random_arch(test_space(), rng);
+    ASSERT_TRUE(std::isfinite(pred.predict_ms(a)));
+    Tensor final_bias = pred.parameters().back();
+    ASSERT_EQ(final_bias.numel(), 1);
+    final_bias.data()[0] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_THROW(pred.predict_ms(a), std::runtime_error)
+        << "log_space " << log_space;
+    const std::vector<hgnas::Arch> batch = {a, a};
+    EXPECT_THROW(pred.predict_batch_ms(batch), std::runtime_error)
+        << "log_space " << log_space;
+  }
 }
 
 TEST(CollectLabeled, MultiDeviceShardingMatchesPerDeviceCollection) {
