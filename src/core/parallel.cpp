@@ -178,16 +178,12 @@ void set_num_threads(std::int64_t n) {
 
 bool in_parallel_region() { return t_in_parallel_region; }
 
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  if (begin >= end) return;
-  if (grain < 1) grain = 1;
+namespace detail {
+
+void run_pooled(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                const std::function<void(std::int64_t, std::int64_t)>& fn) {
   const std::int64_t range = end - begin;
   const std::int64_t threads = num_threads();
-  if (threads == 1 || range <= grain || in_parallel_region()) {
-    fn(begin, end);
-    return;
-  }
   // Fixed decomposition: enough chunks for dynamic load balance, never so
   // many that scheduling overhead dominates, each at least `grain` wide.
   const std::int64_t max_chunks =
@@ -210,6 +206,8 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
   }
   if (error) std::rethrow_exception(error);
 }
+
+}  // namespace detail
 
 void parallel_invoke(std::int64_t n,
                      const std::function<void(std::int64_t)>& fn) {

@@ -58,13 +58,34 @@ class ScopedNumThreads {
 /// run nested loops inline).
 bool in_parallel_region();
 
+namespace detail {
+
+/// The pooled case of parallel_for: forks [begin, end) across the pool.
+/// Precondition: the range is wider than `grain` (>= 1).
+void run_pooled(std::int64_t begin, std::int64_t end, std::int64_t grain,
+                const std::function<void(std::int64_t, std::int64_t)>& fn);
+
+}  // namespace detail
+
 /// Chunked parallel loop over [begin, end). `fn(chunk_begin, chunk_end)` is
 /// invoked for contiguous, non-overlapping, covering chunks of at least
 /// `grain` iterations (except possibly the last). Runs inline serially when
-/// the range is below `grain`, the pool width is 1, or called from inside
-/// another parallel region.
+/// the range is at most `grain`, the pool width is 1, or called from inside
+/// another parallel region — those cases call `fn` directly; only the
+/// pooled case boxes it into a std::function.
+template <class Fn>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
+                  Fn&& fn) {
+  if (begin >= end) return;
+  if (grain < 1) grain = 1;
+  if (end - begin <= grain || num_threads() == 1 || in_parallel_region()) {
+    fn(begin, end);
+    return;
+  }
+  detail::run_pooled(begin, end, grain,
+                     std::function<void(std::int64_t, std::int64_t)>(
+                         std::ref(fn)));
+}
 
 /// `n` independent coarse tasks: fn(i) for i in [0, n). Tasks are claimed
 /// dynamically (they may have very different costs — e.g. NAS candidate

@@ -18,7 +18,8 @@ namespace {
   throw std::invalid_argument("graph: " + msg);
 }
 
-void check(bool cond, const std::string& msg) {
+// Literal messages only: the success path builds no string.
+void check(bool cond, const char* msg) {
   if (!cond) fail(msg);
 }
 

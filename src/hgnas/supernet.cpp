@@ -9,8 +9,13 @@ namespace hg::hgnas {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("SuperNet: " + msg);
+[[noreturn]] void fail(const std::string& msg) {
+  throw std::invalid_argument("SuperNet: " + msg);
+}
+
+// Literal messages only: the success path builds no string.
+void check(bool cond, const char* msg) {
+  if (!cond) fail(msg);
 }
 
 }  // namespace
@@ -49,10 +54,10 @@ SuperNet::SuperNet(const SpaceConfig& space, const SupernetConfig& cfg,
 }
 
 Tensor SuperNet::forward(const Arch& arch, const Tensor& points, Rng& rng) {
-  check(arch.num_positions() == space_.num_positions,
-        "architecture has " + std::to_string(arch.num_positions()) +
-            " positions, supernet expects " +
-            std::to_string(space_.num_positions));
+  if (arch.num_positions() != space_.num_positions)
+    fail("architecture has " + std::to_string(arch.num_positions()) +
+         " positions, supernet expects " +
+         std::to_string(space_.num_positions));
   check(points.dim() == 2 && points.shape()[1] == 3,
         "points must be [n, 3]");
   const std::int64_t n = points.shape()[0];

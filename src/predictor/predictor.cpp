@@ -237,11 +237,12 @@ namespace {
 //
 // Every helper below performs the float operations of the tape op it
 // replaces, in the same order, so the result is byte-equal to forward():
-// matmul accumulates from +0 in ascending p with raw_matmul's zero-skip,
-// scatter_reduce sums each destination's edges in ascending edge order, and
-// the unary lambdas are spelled exactly as in tensor.cpp. The top-level
+// the linears run the tape's own forward matmul kernel
+// (detail::matmul_rows, zero-skip on) and then add the bias, scatter_reduce
+// sums each destination's edges in ascending edge order, and the unary
+// lambdas are spelled exactly as in tensor.cpp. The top-level
 // -ffp-contract=off keeps the compiler from fusing a mul+add the tape
-// rounds twice.
+// rounds twice. No Tensor is built, so no autograd node either.
 
 /// One nn::Linear, read in place from its parameter tensors.
 struct Dense {
@@ -266,48 +267,15 @@ std::vector<Dense> dense_layers(const std::vector<Tensor>& params) {
   return layers;
 }
 
-constexpr std::int64_t kDenseCols = 32;
-
-/// Columns [j0, j0 + nc) of y_row = x_row @ w + b, nc <= kDenseCols, over
-/// the row's non-zero inputs `nz` (ascending p: raw_matmul's zero-skip).
-/// The block's partial sums stay in registers while the inputs stream
-/// past, each starting at +0. kFull fixes nc = kDenseCols so the loop
-/// unrolls.
-template <bool kFull>
-void dense_block(const Dense& l, const float* xr,
-                 std::span<const std::int32_t> nz, std::int64_t j0,
-                 std::int64_t nc, float* yr) {
-  const std::int64_t cols = kFull ? kDenseCols : nc;
-  float acc[kDenseCols] = {};
-  for (const std::int32_t p : nz) {
-    const float av = xr[p];
-    const float* wr = l.w + p * l.out + j0;
-#if defined(__GNUC__) && !defined(__clang__)
-// Without it gcc unroll-and-jams the p loop and scalarises the block.
-#pragma GCC unroll 32
-#endif
-    for (std::int64_t j = 0; j < cols; ++j) acc[j] += av * wr[j];
-  }
-  for (std::int64_t j = 0; j < cols; ++j) yr[j0 + j] = acc[j] + l.b[j0 + j];
-}
-
-/// y[rows, out] = x[rows, in] @ w + b; `nz` is scratch of at least l.in.
-void dense_forward(const Dense& l, const float* x, std::int64_t rows,
-                   float* y, std::int32_t* nz) {
+/// y[rows, out] = x[rows, in] @ w + b: the tape's forward matmul kernel
+/// (serial — the pool splits graphs, not rows), then the bias in a
+/// separate pass, exactly the tape's matmul then add.
+void apply_linear(const Dense& l, const float* x, std::int64_t rows,
+                  float* y) {
+  detail::matmul_rows(x, l.w, y, l.in, l.out, 0, rows, /*skip_zeros=*/true);
   for (std::int64_t i = 0; i < rows; ++i) {
-    const float* xr = x + i * l.in;
     float* yr = y + i * l.out;
-    std::int64_t n_nz = 0;
-    for (std::int64_t p = 0; p < l.in; ++p) {
-      nz[n_nz] = static_cast<std::int32_t>(p);
-      n_nz += xr[p] != 0.f;
-    }
-    const std::span<const std::int32_t> live(
-        nz, static_cast<std::size_t>(n_nz));
-    std::int64_t j0 = 0;
-    for (; j0 + kDenseCols <= l.out; j0 += kDenseCols)
-      dense_block<true>(l, xr, live, j0, kDenseCols, yr);
-    if (j0 < l.out) dense_block<false>(l, xr, live, j0, l.out - j0, yr);
+    for (std::int64_t j = 0; j < l.out; ++j) yr[j] += l.b[j];
   }
 }
 
@@ -318,7 +286,6 @@ void relu_inplace(float* x, std::int64_t n) {
 /// Per-thread buffers, reused across the graphs of one pool chunk.
 struct Scratch {
   std::vector<float> x, h, inv_sqrt;
-  std::vector<std::int32_t> nz;
 };
 
 }  // namespace
@@ -340,7 +307,7 @@ std::vector<double> LatencyPredictor::predict_batch_ms(
   auto run_mlp = [&](Scratch& s, std::int64_t rows) {
     for (std::size_t li = 0; li < mlp.size(); ++li) {
       const Dense& l = mlp[li];
-      dense_forward(l, s.x.data(), rows, s.h.data(), s.nz.data());
+      apply_linear(l, s.x.data(), rows, s.h.data());
       const std::int64_t n = rows * l.out;
       if (li + 1 < mlp.size()) {
         relu_inplace(s.h.data(), n);
@@ -371,7 +338,7 @@ std::vector<double> LatencyPredictor::predict_batch_ms(
 
     for (const Dense& l : gcn) {
       const std::int64_t c = l.out;
-      dense_forward(l, s.x.data(), n, s.h.data(), s.nz.data());
+      apply_linear(l, s.x.data(), n, s.h.data());
       float* out = s.x.data();
       const float* h = s.h.data();
       std::fill(out, out + n * c, 0.f);
@@ -414,7 +381,6 @@ std::vector<double> LatencyPredictor::predict_batch_ms(
       0, static_cast<std::int64_t>(archs.size()), 1,
       [&](std::int64_t lo, std::int64_t hi) {
         Scratch s;
-        s.nz.resize(static_cast<std::size_t>(width));
         for (std::int64_t i = lo; i < hi; ++i) {
           const auto k = static_cast<std::size_t>(i);
           result[k] = score_to_ms(score(

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/parallel.hpp"
@@ -32,11 +33,13 @@ std::int64_t row_grain(std::int64_t work_per_row) {
       1, kWorkGrain / std::max<std::int64_t>(1, work_per_row));
 }
 
+// Error helpers. check() takes only literals, so the success path never
+// builds a string; composed messages are written `if (!cond) fail(...)`.
 [[noreturn]] void fail(const std::string& msg) {
   throw std::invalid_argument("tensor: " + msg);
 }
 
-void check(bool cond, const std::string& msg) {
+void check(bool cond, const char* msg) {
   if (!cond) fail(msg);
 }
 
@@ -50,56 +53,133 @@ ImplPtr make_impl(Shape shape, std::vector<float> data) {
   return impl;
 }
 
-/// Build an op result: decides requires_grad from parents and records the
-/// tape edge only when autograd is enabled and some parent needs gradients.
+/// Build an op result. The tape edge is recorded only when autograd is
+/// enabled and some parent requires gradients, and only then is the
+/// backward closure boxed. `backward` is either the closure itself (it
+/// captures nothing costly) or a factory returning it, called only when
+/// the edge is recorded — ops whose backward needs copies of operands make
+/// them inside the factory. A factory may take the result's data (ops
+/// whose derivative reads their output). Under NoGradGuard, or over inputs
+/// that need no gradient, an op therefore pays for its forward alone.
+template <class Backward>
 Tensor make_op(Shape shape, std::vector<float> data,
-               std::vector<Tensor> parents,
-               std::function<void(Impl&)> backward_fn) {
+               std::span<const Tensor> parents, Backward&& backward) {
   auto impl = make_impl(std::move(shape), std::move(data));
-  bool needs = false;
-  if (detail::grad_enabled()) {
-    for (const auto& p : parents) {
-      if (p.impl()->requires_grad) needs = true;
-    }
-  }
-  if (needs) {
+  const bool records =
+      detail::grad_enabled() &&
+      std::any_of(parents.begin(), parents.end(),
+                  [](const Tensor& p) { return p.requires_grad(); });
+  if (records) {
     impl->requires_grad = true;
     impl->parents.reserve(parents.size());
-    for (auto& p : parents) impl->parents.push_back(p.impl());
-    impl->backward_fn = std::move(backward_fn);
+    for (const auto& p : parents) impl->parents.push_back(p.impl());
+    if constexpr (std::is_invocable_v<Backward&, Impl&>)
+      impl->backward_fn = std::forward<Backward>(backward);
+    else if constexpr (std::is_invocable_v<Backward&,
+                                           const std::vector<float>&>)
+      impl->backward_fn = backward(impl->data);
+    else
+      impl->backward_fn = backward();
   }
   return Tensor(std::move(impl));
 }
 
-// ---- raw (tape-free) kernels used inside backward closures -----------------
+template <class Backward>
+Tensor make_op(Shape shape, std::vector<float> data,
+               std::initializer_list<Tensor> parents, Backward&& backward) {
+  return make_op(std::move(shape), std::move(data),
+                 std::span<const Tensor>(parents.begin(), parents.size()),
+                 std::forward<Backward>(backward));
+}
 
-// Matmul kernels: row-parallel and cache-blocked, with the inner axpy over
-// output columns vectorized (core/simd.hpp). Each output element accumulates
-// its k terms in ascending-p order exactly like the historical naive triple
-// loop, so the blocked/parallel/SIMD kernels are bit-for-bit identical to it
-// for any thread count — the vector axis is the output axis, never the
-// reduction axis. The i-block keeps a handful of output rows hot while one
-// row of b streams through, cutting b reloads by the block factor.
-constexpr std::int64_t kMatmulRowBlock = 4;
+// ---- matmul kernels ----------------------------------------------------------
+
+/// c_row[j0, j0 + W) = sum over the listed p of a_row[p] * b[p, j0 + j]:
+/// the tile's partial sums start at +0 and stay in registers while the
+/// listed rows of b stream past in ascending p, then are stored once.
+template <std::int64_t W>
+void matmul_tile(const float* arow, const float* b, std::int64_t n,
+                 std::span<const std::int32_t> ps, std::int64_t j0,
+                 float* crow) {
+  float acc[W] = {};
+  for (const std::int32_t p : ps) {
+    const float av = arow[p];
+    const float* brow = b + p * n + j0;
+#if defined(__GNUC__) && !defined(__clang__)
+// Without it gcc unroll-and-jams the p loop and scalarises the tile.
+#pragma GCC unroll 32
+#endif
+    for (std::int64_t j = 0; j < W; ++j) acc[j] += av * brow[j];
+  }
+#if defined(__GNUC__) && !defined(__clang__)
+// Without it gcc turns the store into a memcpy and spills `acc` to memory.
+#pragma GCC unroll 32
+#endif
+  for (std::int64_t j = 0; j < W; ++j) crow[j0 + j] = acc[j];
+}
+
+/// Stack room for a row's p list; wider inner dimensions use the heap.
+constexpr std::int64_t kStackInner = 256;
+
+}  // namespace
+
+namespace detail {
+
+// Register-blocked row kernel. Per output row, the p terms that take part
+// (all of them, or the non-zero a[i, p] with `skip_zeros`) are listed once;
+// each column tile — 32, 16 or 8 wide, then a scalar tail — sums them in
+// ascending p from +0 in registers and stores once. The vector axis is the
+// output axis, never the reduction axis, so every element sees the naive
+// loop's operation sequence and the blocking is exact.
+void matmul_rows(const float* a, const float* b, float* c, std::int64_t k,
+                 std::int64_t n, std::int64_t row_begin, std::int64_t row_end,
+                 bool skip_zeros) {
+  std::int32_t stack_ps[kStackInner];
+  std::vector<std::int32_t> heap_ps;
+  std::int32_t* ps = stack_ps;
+  if (k > kStackInner) {
+    heap_ps.resize(static_cast<std::size_t>(k));
+    ps = heap_ps.data();
+  }
+  for (std::int64_t i = row_begin; i < row_end; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    std::int64_t count = 0;
+    for (std::int64_t p = 0; p < k; ++p) {
+      ps[count] = static_cast<std::int32_t>(p);
+      count += !skip_zeros || arow[p] != 0.f;
+    }
+    const std::span<const std::int32_t> live(ps,
+                                             static_cast<std::size_t>(count));
+    std::int64_t j0 = 0;
+    for (; j0 + 32 <= n; j0 += 32) matmul_tile<32>(arow, b, n, live, j0, crow);
+    if (j0 + 16 <= n) {
+      matmul_tile<16>(arow, b, n, live, j0, crow);
+      j0 += 16;
+    }
+    if (j0 + 8 <= n) {
+      matmul_tile<8>(arow, b, n, live, j0, crow);
+      j0 += 8;
+    }
+    for (; j0 < n; ++j0) {
+      float acc = 0.f;
+      for (const std::int32_t p : live) acc += arow[p] * b[p * n + j0];
+      crow[j0] = acc;
+    }
+  }
+}
+
+}  // namespace detail
+
+namespace {
 
 void raw_matmul(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n) {
-  core::parallel_for(
-      0, m, row_grain(k * n), [=](std::int64_t lo, std::int64_t hi) {
-        std::fill(c + lo * n, c + hi * n, 0.f);
-        for (std::int64_t i0 = lo; i0 < hi; i0 += kMatmulRowBlock) {
-          const std::int64_t i1 =
-              std::min<std::int64_t>(hi, i0 + kMatmulRowBlock);
-          for (std::int64_t p = 0; p < k; ++p) {
-            const float* brow = b + p * n;
-            for (std::int64_t i = i0; i < i1; ++i) {
-              const float av = a[i * k + p];
-              if (av == 0.f) continue;
-              simd::axpy(c + i * n, av, brow, n);
-            }
-          }
-        }
-      });
+  core::parallel_for(0, m, row_grain(k * n),
+                     [=](std::int64_t lo, std::int64_t hi) {
+                       detail::matmul_rows(a, b, c, k, n, lo, hi,
+                                           /*skip_zeros=*/true);
+                     });
 }
 
 // c[m,n] += a^T[m,k_rows] ... specialised transposed products for backward.
@@ -127,11 +207,11 @@ void raw_matmul_a_bt(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
   // a is [m, k], b is [n, k] (we want a @ b^T), c is [m, n]. The historical
   // kernel took a per-(i,j) dot product — a reduction along the vector-
-  // hostile axis. Transposing b once into [k, n] scratch turns the inner
-  // loop into the same axpy-over-output-columns shape as raw_matmul: c[i,j]
-  // still accumulates its k terms in ascending-p order starting from 0, so
-  // every output element is bit-identical to the old dot (no zero-skip here,
-  // because the old kernel had none).
+  // hostile axis. Transposing b once into [k, n] scratch turns it into the
+  // forward kernel's shape: c[i,j] still accumulates its k terms in
+  // ascending-p order starting from 0, so every output element is
+  // bit-identical to the old dot (no zero-skip here, because the old
+  // kernel had none).
   std::vector<float> bt(static_cast<std::size_t>(k * n));
   core::parallel_for(
       0, n, row_grain(k), [&, bt_data = bt.data()](std::int64_t lo,
@@ -141,22 +221,12 @@ void raw_matmul_a_bt(const float* a, const float* b, float* c, std::int64_t m,
             bt_data[p * n + j] = b[j * k + p];
       });
   const float* btd = bt.data();
-  core::parallel_for(
-      0, m, row_grain(k * n), [=](std::int64_t lo, std::int64_t hi) {
-        std::fill(c + lo * n, c + hi * n, 0.f);
-        for (std::int64_t i0 = lo; i0 < hi; i0 += kMatmulRowBlock) {
-          const std::int64_t i1 =
-              std::min<std::int64_t>(hi, i0 + kMatmulRowBlock);
-          for (std::int64_t p = 0; p < k; ++p) {
-            const float* brow = btd + p * n;
-            for (std::int64_t i = i0; i < i1; ++i)
-              simd::axpy(c + i * n, a[i * k + p], brow, n);
-          }
-        }
-      });
+  core::parallel_for(0, m, row_grain(k * n),
+                     [=](std::int64_t lo, std::int64_t hi) {
+                       detail::matmul_rows(a, btd, c, k, n, lo, hi,
+                                           /*skip_zeros=*/false);
+                     });
 }
-
-enum class BinOp { Add, Sub, Mul, Div };
 
 enum class Broadcast { Exact, ScalarRhs, RowRhs, ColRhs };
 
@@ -170,142 +240,184 @@ Broadcast classify_broadcast(const Shape& a, const Shape& b) {
        shape_to_string(b));
 }
 
-float apply_bin(BinOp op, float x, float y) {
-  switch (op) {
-    case BinOp::Add: return x + y;
-    case BinOp::Sub: return x - y;
-    case BinOp::Mul: return x * y;
-    case BinOp::Div: return x / y;
+/// out[i] = f(a[i], b[rhs(i)]) over n elements of rows `cols` wide, with
+/// the broadcast kind resolved once, outside the element loops.
+template <class F>
+void broadcast_apply(Broadcast bc, const float* a, const float* b, float* out,
+                     std::int64_t n, std::int64_t cols, F f) {
+  switch (bc) {
+    case Broadcast::Exact:
+      core::parallel_for(0, n, kElemGrain,
+                         [=](std::int64_t lo, std::int64_t hi) {
+                           for (std::int64_t i = lo; i < hi; ++i)
+                             out[i] = f(a[i], b[i]);
+                         });
+      return;
+    case Broadcast::ScalarRhs:
+      core::parallel_for(0, n, kElemGrain,
+                         [=, s = b[0]](std::int64_t lo, std::int64_t hi) {
+                           for (std::int64_t i = lo; i < hi; ++i)
+                             out[i] = f(a[i], s);
+                         });
+      return;
+    case Broadcast::RowRhs:
+    case Broadcast::ColRhs: {
+      if (n == 0) return;
+      const bool row = bc == Broadcast::RowRhs;
+      core::parallel_for(
+          0, n / cols, std::max<std::int64_t>(1, kElemGrain / cols),
+          [=](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t r = lo; r < hi; ++r) {
+              const float* ar = a + r * cols;
+              float* orow = out + r * cols;
+              if (row) {
+                for (std::int64_t j = 0; j < cols; ++j)
+                  orow[j] = f(ar[j], b[j]);
+              } else {
+                const float s = b[r];
+                for (std::int64_t j = 0; j < cols; ++j) orow[j] = f(ar[j], s);
+              }
+            }
+          });
+      return;
+    }
   }
-  return 0.f;
 }
 
-Tensor binary_op(const Tensor& a, const Tensor& b, BinOp op) {
-  const Broadcast bc = classify_broadcast(a.shape(), b.shape());
-  const auto& ad = a.data();
-  const auto& bd = b.data();
-  const std::int64_t n = a.numel();
-  std::vector<float> out(static_cast<std::size_t>(n));
-
-  const std::int64_t cols = (a.dim() == 2) ? a.shape()[1] : n;
-  // Captured by value: this lambda outlives binary_op inside the backward
-  // closure below.
-  auto rhs_index = [bc, cols](std::int64_t i) -> std::int64_t {
-    switch (bc) {
-      case Broadcast::Exact: return i;
-      case Broadcast::ScalarRhs: return 0;
-      case Broadcast::RowRhs: return i % cols;
-      case Broadcast::ColRhs: return i / cols;
-    }
-    return 0;
-  };
-
-  {
-    const float* ap = ad.data();
-    const float* bp = bd.data();
-    float* op_ = out.data();
-    core::parallel_for(0, n, kElemGrain,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           op_[i] = apply_bin(op, ap[i], bp[rhs_index(i)]);
-                       });
-  }
-
-  // Capture everything the backward pass needs by value.
-  std::vector<float> a_copy(ad.begin(), ad.end());
-  std::vector<float> b_copy(bd.begin(), bd.end());
-  auto backward = [op, bc, cols, n, a_copy = std::move(a_copy),
-                   b_copy = std::move(b_copy),
-                   rhs_index](Impl& self) {
-    auto& g = self.grad;
-    Impl& pa = *self.parents[0];
-    Impl& pb = *self.parents[1];
-    if (pa.requires_grad) {
-      std::vector<float> ga(static_cast<std::size_t>(n));
+/// gb[rhs(i)] += contrib(i, rhs(i)) for i ascending — the serial order the
+/// broadcast reductions need (many i meet in one j). Exact writes are
+/// disjoint, so that case alone forks.
+template <class Contrib>
+void broadcast_reduce(Broadcast bc, float* gb, std::int64_t n,
+                      std::int64_t cols, Contrib contrib) {
+  switch (bc) {
+    case Broadcast::Exact:
       core::parallel_for(0, n, kElemGrain,
                          [&](std::int64_t lo, std::int64_t hi) {
-                           for (std::int64_t i = lo; i < hi; ++i) {
-                             const float gi = g[static_cast<std::size_t>(i)];
-                             switch (op) {
-                               case BinOp::Add:
-                               case BinOp::Sub: ga[i] = gi; break;
-                               case BinOp::Mul:
-                                 ga[i] = gi * b_copy[rhs_index(i)];
-                                 break;
-                               case BinOp::Div:
-                                 ga[i] = gi / b_copy[rhs_index(i)];
-                                 break;
-                             }
-                           }
+                           for (std::int64_t i = lo; i < hi; ++i)
+                             gb[i] += contrib(i, i);
                          });
-      pa.accumulate_grad(ga);
-    }
-    if (pb.requires_grad) {
-      std::vector<float> gb(b_copy.size(), 0.f);
-      auto accumulate_range = [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const float gi = g[static_cast<std::size_t>(i)];
-          const std::int64_t j = rhs_index(i);
-          float contrib = 0.f;
-          switch (op) {
-            case BinOp::Add: contrib = gi; break;
-            case BinOp::Sub: contrib = -gi; break;
-            case BinOp::Mul:
-              contrib = gi * a_copy[static_cast<std::size_t>(i)];
-              break;
-            case BinOp::Div: {
-              const float bv = b_copy[static_cast<std::size_t>(j)];
-              contrib = -gi * a_copy[static_cast<std::size_t>(i)] / (bv * bv);
-              break;
-            }
-          }
-          gb[static_cast<std::size_t>(j)] += contrib;
+      return;
+    case Broadcast::ScalarRhs:
+      for (std::int64_t i = 0; i < n; ++i) gb[0] += contrib(i, 0);
+      return;
+    case Broadcast::RowRhs:
+    case Broadcast::ColRhs:
+      for (std::int64_t i0 = 0; i0 < n; i0 += cols) {
+        const std::int64_t r = i0 / cols;
+        for (std::int64_t j = 0; j < cols; ++j) {
+          const std::int64_t k = bc == Broadcast::RowRhs ? j : r;
+          gb[k] += contrib(i0 + j, k);
         }
-      };
-      if (bc == Broadcast::Exact) {
-        // rhs_index(i) == i: disjoint writes, safe to fork.
-        core::parallel_for(0, n, kElemGrain, accumulate_range);
-      } else {
-        // Broadcast cases reduce many i into one j; keep the serial order.
-        accumulate_range(0, n);
       }
-      pb.accumulate_grad(gb);
-    }
-    (void)bc;
-    (void)cols;
-  };
-
-  return make_op(a.shape(), std::move(out), {a, b}, std::move(backward));
+      return;
+  }
 }
 
-/// Unary op with pointwise derivative expressed from (x, y).
-Tensor unary_op(const Tensor& a, const std::function<float(float)>& f,
-                const std::function<float(float, float)>& dfdx_from_xy) {
+struct AddOp {
+  float operator()(float x, float y) const { return x + y; }
+};
+struct SubOp {
+  float operator()(float x, float y) const { return x - y; }
+};
+struct MulOp {
+  float operator()(float x, float y) const { return x * y; }
+};
+struct DivOp {
+  float operator()(float x, float y) const { return x / y; }
+};
+
+/// The backward of add and sub reads neither operand.
+template <class Op>
+constexpr bool kAdditive =
+    std::is_same_v<Op, AddOp> || std::is_same_v<Op, SubOp>;
+
+/// Elementwise a op b. Only mul and div copy their operands, and only when
+/// a tape edge is recorded.
+template <class Op>
+Tensor binary_op(const Tensor& a, const Tensor& b, Op op) {
+  const Broadcast bc = classify_broadcast(a.shape(), b.shape());
+  const std::int64_t n = a.numel();
+  const std::int64_t cols = (a.dim() == 2) ? a.shape()[1] : n;
+  std::vector<float> out(static_cast<std::size_t>(n));
+  broadcast_apply(bc, a.data().data(), b.data().data(), out.data(), n, cols,
+                  op);
+
+  return make_op(a.shape(), std::move(out), {a, b}, [&] {
+    std::vector<float> a_copy, b_copy;
+    if constexpr (!kAdditive<Op>) {
+      a_copy.assign(a.data().begin(), a.data().end());
+      b_copy.assign(b.data().begin(), b.data().end());
+    }
+    const std::size_t b_size = static_cast<std::size_t>(b.numel());
+    return [bc, cols, n, b_size, a_copy = std::move(a_copy),
+            b_copy = std::move(b_copy)](Impl& self) {
+      const float* g = self.grad.data();
+      Impl& pa = *self.parents[0];
+      Impl& pb = *self.parents[1];
+      if (pa.requires_grad) {
+        std::vector<float> ga(static_cast<std::size_t>(n));
+        if constexpr (kAdditive<Op>)
+          std::copy(g, g + n, ga.begin());
+        else
+          broadcast_apply(bc, g, b_copy.data(), ga.data(), n, cols, Op{});
+        pa.accumulate_grad(ga);
+      }
+      if (pb.requires_grad) {
+        std::vector<float> gb(b_size, 0.f);
+        const float* av = a_copy.data();
+        const float* bv = b_copy.data();
+        if constexpr (std::is_same_v<Op, AddOp>) {
+          broadcast_reduce(bc, gb.data(), n, cols,
+                           [g](std::int64_t i, std::int64_t) { return g[i]; });
+        } else if constexpr (std::is_same_v<Op, SubOp>) {
+          broadcast_reduce(bc, gb.data(), n, cols,
+                           [g](std::int64_t i, std::int64_t) { return -g[i]; });
+        } else if constexpr (std::is_same_v<Op, MulOp>) {
+          broadcast_reduce(
+              bc, gb.data(), n, cols,
+              [g, av](std::int64_t i, std::int64_t) { return g[i] * av[i]; });
+        } else {
+          broadcast_reduce(bc, gb.data(), n, cols,
+                           [g, av, bv](std::int64_t i, std::int64_t j) {
+                             return -g[i] * av[i] / (bv[j] * bv[j]);
+                           });
+        }
+        pb.accumulate_grad(gb);
+      }
+    };
+  });
+}
+
+/// Unary op with pointwise derivative expressed from (x, y). Both functors
+/// are template parameters, so the element loops call them inline.
+template <class F, class DfDx>
+Tensor unary_op(const Tensor& a, F f, DfDx dfdx_from_xy) {
   const auto ad = a.data();
-  std::vector<float> out(ad.size());
-  core::parallel_for(0, static_cast<std::int64_t>(ad.size()), kElemGrain,
-                     [&](std::int64_t lo, std::int64_t hi) {
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         out[static_cast<std::size_t>(i)] = f(ad[i]);
+  const std::int64_t n = a.numel();
+  std::vector<float> out(static_cast<std::size_t>(n));
+  core::parallel_for(0, n, kElemGrain,
+                     [x = ad.data(), y = out.data(), f](std::int64_t lo,
+                                                        std::int64_t hi) {
+                       for (std::int64_t i = lo; i < hi; ++i) y[i] = f(x[i]);
                      });
-  std::vector<float> x_copy(ad.begin(), ad.end());
-  std::vector<float> y_copy = out;
-  auto backward = [x_copy = std::move(x_copy), y_copy = std::move(y_copy),
-                   dfdx_from_xy](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(x_copy.size());
-    core::parallel_for(0, static_cast<std::int64_t>(x_copy.size()), kElemGrain,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i)
-                           g[static_cast<std::size_t>(i)] =
-                               self.grad[static_cast<std::size_t>(i)] *
-                               dfdx_from_xy(x_copy[static_cast<std::size_t>(i)],
-                                            y_copy[static_cast<std::size_t>(i)]);
-                       });
-    p.accumulate_grad(g);
-  };
-  return make_op(a.shape(), std::move(out), {a}, std::move(backward));
+  return make_op(a.shape(), std::move(out), {a},
+                 [&](const std::vector<float>& y) {
+    return [x_copy = std::vector<float>(ad.begin(), ad.end()), y_copy = y,
+            dfdx_from_xy](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      const std::int64_t n = static_cast<std::int64_t>(x_copy.size());
+      std::vector<float> g(x_copy.size());
+      core::parallel_for(0, n, kElemGrain,
+                         [&](std::int64_t lo, std::int64_t hi) {
+                           for (std::int64_t i = lo; i < hi; ++i)
+                             g[i] = self.grad[i] *
+                                    dfdx_from_xy(x_copy[i], y_copy[i]);
+                         });
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 }  // namespace
@@ -347,9 +459,9 @@ void TensorImpl::accumulate_grad(std::span<const float> g) {
 }
 
 Tensor make_custom_op(Shape shape, std::vector<float> data,
-                      std::vector<Tensor> parents,
+                      const std::vector<Tensor>& parents,
                       std::function<void(TensorImpl&)> backward_fn) {
-  return make_op(std::move(shape), std::move(data), std::move(parents),
+  return make_op(std::move(shape), std::move(data), parents,
                  std::move(backward_fn));
 }
 
@@ -386,9 +498,9 @@ Tensor Tensor::scalar(float value, bool requires_grad) {
 
 Tensor Tensor::from_vector(Shape shape, std::vector<float> values,
                            bool requires_grad) {
-  check(static_cast<std::int64_t>(values.size()) == shape_numel(shape),
-        "from_vector: " + std::to_string(values.size()) +
-            " values do not fill shape " + shape_to_string(shape));
+  if (static_cast<std::int64_t>(values.size()) != shape_numel(shape))
+    fail("from_vector: " + std::to_string(values.size()) +
+         " values do not fill shape " + shape_to_string(shape));
   auto impl = make_impl(std::move(shape), std::move(values));
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
@@ -416,8 +528,9 @@ std::int64_t Tensor::size(std::int64_t axis) const {
 }
 
 float Tensor::item() const {
-  check(numel() == 1, "item(): tensor has " + std::to_string(numel()) +
-                          " elements, expected 1");
+  if (numel() != 1)
+    fail("item(): tensor has " + std::to_string(numel()) +
+         " elements, expected 1");
   return impl_->data[0];
 }
 
@@ -456,9 +569,9 @@ Tensor Tensor::clone() const {
 }
 
 void Tensor::backward() {
-  check(numel() == 1,
-        "backward() without a seed requires a scalar tensor; got shape " +
-            shape_to_string(shape()));
+  if (numel() != 1)
+    fail("backward() without a seed requires a scalar tensor; got shape " +
+         shape_to_string(shape()));
   backward(std::vector<float>{1.f});
 }
 
@@ -500,10 +613,10 @@ void Tensor::backward(std::span<const float> seed) {
 
 // ---- binary ops -----------------------------------------------------------------
 
-Tensor add(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Add); }
-Tensor sub(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Sub); }
-Tensor mul(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Mul); }
-Tensor div(const Tensor& a, const Tensor& b) { return binary_op(a, b, BinOp::Div); }
+Tensor add(const Tensor& a, const Tensor& b) { return binary_op(a, b, AddOp{}); }
+Tensor sub(const Tensor& a, const Tensor& b) { return binary_op(a, b, SubOp{}); }
+Tensor mul(const Tensor& a, const Tensor& b) { return binary_op(a, b, MulOp{}); }
+Tensor div(const Tensor& a, const Tensor& b) { return binary_op(a, b, DivOp{}); }
 
 Tensor add(const Tensor& a, float s) { return add(a, Tensor::scalar(s)); }
 Tensor sub(const Tensor& a, float s) { return sub(a, Tensor::scalar(s)); }
@@ -552,14 +665,14 @@ Tensor exp_op(const Tensor& a) {
 
 Tensor log_op(const Tensor& a) {
   for (float x : a.data())
-    check(x > 0.f, "log of non-positive value " + std::to_string(x));
+    if (!(x > 0.f)) fail("log of non-positive value " + std::to_string(x));
   return unary_op(a, [](float x) { return std::log(x); },
                   [](float x, float) { return 1.f / x; });
 }
 
 Tensor sqrt_op(const Tensor& a) {
   for (float x : a.data())
-    check(x >= 0.f, "sqrt of negative value " + std::to_string(x));
+    if (!(x >= 0.f)) fail("sqrt of negative value " + std::to_string(x));
   return unary_op(a, [](float x) { return std::sqrt(x); },
                   [](float, float y) { return y > 0.f ? 0.5f / y : 0.f; });
 }
@@ -577,35 +690,36 @@ Tensor abs_op(const Tensor& a) {
 // ---- matmul / transpose -----------------------------------------------------------
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  check(a.dim() == 2 && b.dim() == 2, "matmul requires 2-D tensors, got " +
-                                          shape_to_string(a.shape()) + " x " +
-                                          shape_to_string(b.shape()));
+  if (a.dim() != 2 || b.dim() != 2)
+    fail("matmul requires 2-D tensors, got " + shape_to_string(a.shape()) +
+         " x " + shape_to_string(b.shape()));
   const std::int64_t m = a.shape()[0], k = a.shape()[1];
   const std::int64_t k2 = b.shape()[0], n = b.shape()[1];
-  check(k == k2, "matmul inner dimension mismatch: " +
-                     shape_to_string(a.shape()) + " x " +
-                     shape_to_string(b.shape()));
+  if (k != k2)
+    fail("matmul inner dimension mismatch: " + shape_to_string(a.shape()) +
+         " x " + shape_to_string(b.shape()));
   std::vector<float> out(static_cast<std::size_t>(m * n));
   raw_matmul(a.data().data(), b.data().data(), out.data(), m, k, n);
 
-  std::vector<float> a_copy(a.data().begin(), a.data().end());
-  std::vector<float> b_copy(b.data().begin(), b.data().end());
-  auto backward = [m, k, n, a_copy = std::move(a_copy),
-                   b_copy = std::move(b_copy)](Impl& self) {
-    Impl& pa = *self.parents[0];
-    Impl& pb = *self.parents[1];
-    if (pa.requires_grad) {
-      std::vector<float> ga(static_cast<std::size_t>(m * k));
-      raw_matmul_a_bt(self.grad.data(), b_copy.data(), ga.data(), m, n, k);
-      pa.accumulate_grad(ga);
-    }
-    if (pb.requires_grad) {
-      std::vector<float> gb(static_cast<std::size_t>(k * n));
-      raw_matmul_at_b(a_copy.data(), self.grad.data(), gb.data(), k, m, n);
-      pb.accumulate_grad(gb);
-    }
-  };
-  return make_op({m, n}, std::move(out), {a, b}, std::move(backward));
+  return make_op({m, n}, std::move(out), {a, b}, [&] {
+    return [m, k, n, a_copy = std::vector<float>(a.data().begin(),
+                                                 a.data().end()),
+            b_copy = std::vector<float>(b.data().begin(), b.data().end())](
+               Impl& self) {
+      Impl& pa = *self.parents[0];
+      Impl& pb = *self.parents[1];
+      if (pa.requires_grad) {
+        std::vector<float> ga(static_cast<std::size_t>(m * k));
+        raw_matmul_a_bt(self.grad.data(), b_copy.data(), ga.data(), m, n, k);
+        pa.accumulate_grad(ga);
+      }
+      if (pb.requires_grad) {
+        std::vector<float> gb(static_cast<std::size_t>(k * n));
+        raw_matmul_at_b(a_copy.data(), self.grad.data(), gb.data(), k, m, n);
+        pb.accumulate_grad(gb);
+      }
+    };
+  });
 }
 
 namespace {
@@ -756,9 +870,9 @@ Tensor min_axis0(const Tensor& a) { return extreme_axis0(a, false); }
 // ---- shape ops -----------------------------------------------------------------------
 
 Tensor reshape(const Tensor& a, Shape new_shape) {
-  check(shape_numel(new_shape) == a.numel(),
-        "reshape: element count mismatch " + shape_to_string(a.shape()) +
-            " -> " + shape_to_string(new_shape));
+  if (shape_numel(new_shape) != a.numel())
+    fail("reshape: element count mismatch " + shape_to_string(a.shape()) +
+         " -> " + shape_to_string(new_shape));
   std::vector<float> out(a.data().begin(), a.data().end());
   auto backward = [](Impl& self) {
     Impl& p = *self.parents[0];
@@ -813,7 +927,7 @@ Tensor concat(const std::vector<Tensor>& parts, int axis) {
     }
   }
 
-  auto backward = [axis, rows, cols, sizes](Impl& self) {
+  auto backward = [axis, rows, cols, sizes = std::move(sizes)](Impl& self) {
     std::int64_t off = 0;
     for (std::size_t pi = 0; pi < self.parents.size(); ++pi) {
       Impl& p = *self.parents[pi];
@@ -848,26 +962,27 @@ Tensor gather_rows(const Tensor& a, std::span<const std::int64_t> indices) {
   core::parallel_for(0, e, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) {
       const std::int64_t src = indices[static_cast<std::size_t>(i)];
-      check(src >= 0 && src < r, "gather_rows: index " + std::to_string(src) +
-                                     " out of range [0, " + std::to_string(r) +
-                                     ")");
+      if (src < 0 || src >= r)
+        fail("gather_rows: index " + std::to_string(src) +
+             " out of range [0, " + std::to_string(r) + ")");
       std::copy(ad.begin() + src * c, ad.begin() + (src + 1) * c,
                 out.begin() + i * c);
     }
   });
-  std::vector<std::int64_t> idx_copy(indices.begin(), indices.end());
-  auto backward = [r, c, e, idx_copy = std::move(idx_copy)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
-    for (std::int64_t i = 0; i < e; ++i) {
-      const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
-      for (std::int64_t j = 0; j < c; ++j)
-        g[dst * c + j] += self.grad[static_cast<std::size_t>(i * c + j)];
-    }
-    p.accumulate_grad(g);
-  };
-  return make_op({e, c}, std::move(out), {a}, std::move(backward));
+  return make_op({e, c}, std::move(out), {a}, [&] {
+    return [r, c, e, idx_copy = std::vector<std::int64_t>(
+                         indices.begin(), indices.end())](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c), 0.f);
+      for (std::int64_t i = 0; i < e; ++i) {
+        const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
+        for (std::int64_t j = 0; j < c; ++j)
+          g[dst * c + j] += self.grad[static_cast<std::size_t>(i * c + j)];
+      }
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 Tensor slice_rows(const Tensor& a, std::int64_t begin, std::int64_t end) {
@@ -897,8 +1012,8 @@ IndexCsr group_by_index(std::span<const std::int64_t> index,
   IndexCsr csr;
   csr.row_ptr.assign(static_cast<std::size_t>(num_buckets) + 1, 0);
   for (const std::int64_t v : index) {
-    check(v >= 0 && v < num_buckets,
-          std::string(what) + ": index out of range");
+    if (v < 0 || v >= num_buckets)
+      fail(std::string(what) + ": index out of range");
     ++csr.row_ptr[static_cast<std::size_t>(v) + 1];
   }
   std::partial_sum(csr.row_ptr.begin(), csr.row_ptr.end(),
@@ -956,33 +1071,35 @@ Tensor scatter_reduce(const Tensor& messages,
             }
           }
         });
-    std::vector<std::int64_t> idx_copy(index.begin(), index.end());
-    std::vector<std::int64_t> degree(by_dst.row_ptr.size() - 1);
-    for (std::size_t v = 0; v + 1 < by_dst.row_ptr.size(); ++v)
-      degree[v] = by_dst.row_ptr[v + 1] - by_dst.row_ptr[v];
-    auto backward = [e, c, reduce, degree = std::move(degree),
-                     idx_copy = std::move(idx_copy)](Impl& self) {
-      Impl& p = *self.parents[0];
-      if (!p.requires_grad) return;
-      std::vector<float> g(static_cast<std::size_t>(e * c));
-      core::parallel_for(
-          0, e, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const std::int64_t dst = idx_copy[static_cast<std::size_t>(i)];
-              const float scale =
-                  reduce == Reduce::Mean
-                      ? 1.f / static_cast<float>(
-                                  degree[static_cast<std::size_t>(dst)])
-                      : 1.f;
-              for (std::int64_t j = 0; j < c; ++j)
-                g[i * c + j] =
-                    self.grad[static_cast<std::size_t>(dst * c + j)] * scale;
-            }
-          });
-      p.accumulate_grad(g);
-    };
-    return make_op({num_nodes, c}, std::move(out), {messages},
-                   std::move(backward));
+    return make_op({num_nodes, c}, std::move(out), {messages}, [&] {
+      std::vector<std::int64_t> degree(by_dst.row_ptr.size() - 1);
+      for (std::size_t v = 0; v + 1 < by_dst.row_ptr.size(); ++v)
+        degree[v] = by_dst.row_ptr[v + 1] - by_dst.row_ptr[v];
+      return [e, c, reduce, degree = std::move(degree),
+              idx_copy = std::vector<std::int64_t>(index.begin(),
+                                                   index.end())](Impl& self) {
+        Impl& p = *self.parents[0];
+        if (!p.requires_grad) return;
+        std::vector<float> g(static_cast<std::size_t>(e * c));
+        core::parallel_for(
+            0, e, row_grain(c), [&](std::int64_t lo, std::int64_t hi) {
+              for (std::int64_t i = lo; i < hi; ++i) {
+                const std::int64_t dst =
+                    idx_copy[static_cast<std::size_t>(i)];
+                const float scale =
+                    reduce == Reduce::Mean
+                        ? 1.f / static_cast<float>(
+                                    degree[static_cast<std::size_t>(dst)])
+                        : 1.f;
+                for (std::int64_t j = 0; j < c; ++j)
+                  g[i * c + j] =
+                      self.grad[static_cast<std::size_t>(dst * c + j)] *
+                      scale;
+              }
+            });
+        p.accumulate_grad(g);
+      };
+    });
   }
 
   // Max / Min: track winning edge per (node, channel); untouched rows are 0.
@@ -1049,23 +1166,24 @@ Tensor softmax(const Tensor& a) {
     }
     for (std::int64_t j = 0; j < c; ++j) out[i * c + j] /= denom;
   }
-  std::vector<float> y_copy = out;
-  auto backward = [r, c, y_copy = std::move(y_copy)](Impl& self) {
-    Impl& p = *self.parents[0];
-    if (!p.requires_grad) return;
-    std::vector<float> g(static_cast<std::size_t>(r * c));
-    for (std::int64_t i = 0; i < r; ++i) {
-      float dot = 0.f;
-      for (std::int64_t j = 0; j < c; ++j)
-        dot += self.grad[static_cast<std::size_t>(i * c + j)] *
-               y_copy[static_cast<std::size_t>(i * c + j)];
-      for (std::int64_t j = 0; j < c; ++j)
-        g[i * c + j] = y_copy[static_cast<std::size_t>(i * c + j)] *
-                       (self.grad[static_cast<std::size_t>(i * c + j)] - dot);
-    }
-    p.accumulate_grad(g);
-  };
-  return make_op({r, c}, std::move(out), {a}, std::move(backward));
+  return make_op({r, c}, std::move(out), {a}, [&](const std::vector<float>& y) {
+    return [r, c, y_copy = y](Impl& self) {
+      Impl& p = *self.parents[0];
+      if (!p.requires_grad) return;
+      std::vector<float> g(static_cast<std::size_t>(r * c));
+      for (std::int64_t i = 0; i < r; ++i) {
+        float dot = 0.f;
+        for (std::int64_t j = 0; j < c; ++j)
+          dot += self.grad[static_cast<std::size_t>(i * c + j)] *
+                 y_copy[static_cast<std::size_t>(i * c + j)];
+        for (std::int64_t j = 0; j < c; ++j)
+          g[i * c + j] =
+              y_copy[static_cast<std::size_t>(i * c + j)] *
+              (self.grad[static_cast<std::size_t>(i * c + j)] - dot);
+      }
+      p.accumulate_grad(g);
+    };
+  });
 }
 
 Tensor log_softmax(const Tensor& a) {

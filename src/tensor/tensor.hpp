@@ -73,12 +73,24 @@ struct IndexCsr {
 IndexCsr group_by_index(std::span<const std::int64_t> index,
                         std::int64_t num_buckets, const char* what);
 
+/// The one forward matmul kernel: rows [row_begin, row_end) of
+/// c[*, n] = a[*, k] @ b[k, n], all row-major, serial (callers split rows
+/// across the pool). Each c[i, j] accumulates a[i, p] * b[p, j] from +0 in
+/// ascending p, one rounded multiply and one rounded add per term, so the
+/// result is bit-identical to the naive triple loop. With `skip_zeros`,
+/// terms whose a[i, p] == 0 are left out (an inf or NaN in b behind a zero
+/// of a never reaches c), as the forward matmul always has.
+void matmul_rows(const float* a, const float* b, float* c, std::int64_t k,
+                 std::int64_t n, std::int64_t row_begin, std::int64_t row_end,
+                 bool skip_zeros);
+
 /// Build a custom autograd op outside tensor.cpp (fused kernels). Decides
 /// requires_grad from `parents` and records the tape edge exactly like the
 /// built-in ops; `backward_fn` must scatter self.grad into the parents via
-/// accumulate_grad.
+/// accumulate_grad. Callers that skip building the capture when no edge
+/// will be recorded may pass an empty `backward_fn`.
 Tensor make_custom_op(Shape shape, std::vector<float> data,
-                      std::vector<Tensor> parents,
+                      const std::vector<Tensor>& parents,
                       std::function<void(TensorImpl&)> backward_fn);
 
 /// RAII guard disabling autograd tape recording (inference / measurement).

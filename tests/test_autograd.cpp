@@ -1,10 +1,13 @@
 // Reverse-mode autodiff correctness: every differentiable op is verified
 // against central finite differences, plus tape-mechanics tests (grad
-// accumulation, reuse, no-grad mode, non-scalar seeds).
+// accumulation, reuse, no-grad mode, non-scalar seeds) and the no-tape
+// forwards (byte-equal to the taped ones, no edge recorded).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "tensor/rng.hpp"
@@ -480,6 +483,122 @@ TEST(AutogradTape, LeafWithoutRequiresGradGetsNoGrad) {
   z.backward(std::vector<float>{1.f});
   EXPECT_FALSE(x.has_grad());
   EXPECT_TRUE(y.has_grad());
+}
+
+// ---- forwards without a tape edge ---------------------------------------------
+
+/// One op over a fixed input list.
+struct OpCase {
+  std::string name;
+  std::vector<Tensor> inputs;
+  std::function<Tensor(const std::vector<Tensor>&)> op;
+};
+
+/// Fresh copies of `inputs` with requires_grad set to `grad`.
+std::vector<Tensor> copies(const std::vector<Tensor>& inputs, bool grad) {
+  std::vector<Tensor> out;
+  for (const Tensor& t : inputs) out.push_back(t.detach().set_requires_grad(grad));
+  return out;
+}
+
+bool records_edge(const Tensor& t) {
+  return t.requires_grad() && !t.impl()->parents.empty() &&
+         static_cast<bool>(t.impl()->backward_fn);
+}
+
+bool records_nothing(const Tensor& t) {
+  return !t.requires_grad() && t.impl()->parents.empty() &&
+         !t.impl()->backward_fn;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+std::vector<OpCase> no_tape_cases() {
+  std::vector<OpCase> cases;
+  auto add_case = [&cases](std::string name, std::vector<Tensor> inputs,
+                           std::function<Tensor(const std::vector<Tensor>&)> op) {
+    cases.push_back({std::move(name), std::move(inputs), std::move(op)});
+  };
+  Tensor x = make_input({4, 6}, 101);
+  Tensor lhs = make_input({5, 7}, 102);
+  lhs.data()[3] = 0.f;
+  lhs.data()[8] = -0.f;
+  add_case("matmul", {lhs, make_input({7, 9}, 103)},
+           [](const auto& in) { return matmul(in[0], in[1]); });
+
+  // All four broadcast kinds of each binary op; divisors kept away from 0.
+  const std::vector<std::pair<std::string, Tensor>> rhs = {
+      {"exact", make_input({4, 6}, 104, 0.5f, 2.f)},
+      {"scalar", make_input({1}, 105, 0.5f, 2.f)},
+      {"row", make_input({6}, 106, 0.5f, 2.f)},
+      {"col", make_input({4, 1}, 107, 0.5f, 2.f)}};
+  for (const auto& [kind, r] : rhs) {
+    add_case("add/" + kind, {x, r},
+             [](const auto& in) { return add(in[0], in[1]); });
+    add_case("sub/" + kind, {x, r},
+             [](const auto& in) { return sub(in[0], in[1]); });
+    add_case("mul/" + kind, {x, r},
+             [](const auto& in) { return mul(in[0], in[1]); });
+    add_case("div/" + kind, {x, r},
+             [](const auto& in) { return div(in[0], in[1]); });
+  }
+
+  Tensor pos = make_input({4, 6}, 108, 0.1f, 3.f);
+  add_case("neg", {x}, [](const auto& in) { return neg(in[0]); });
+  add_case("relu", {x}, [](const auto& in) { return relu(in[0]); });
+  add_case("leaky_relu", {x},
+           [](const auto& in) { return leaky_relu(in[0], 0.2f); });
+  add_case("sigmoid", {x}, [](const auto& in) { return sigmoid(in[0]); });
+  add_case("tanh", {x}, [](const auto& in) { return tanh_op(in[0]); });
+  add_case("exp", {x}, [](const auto& in) { return exp_op(in[0]); });
+  add_case("log", {pos}, [](const auto& in) { return log_op(in[0]); });
+  add_case("sqrt", {pos}, [](const auto& in) { return sqrt_op(in[0]); });
+  add_case("square", {x}, [](const auto& in) { return square(in[0]); });
+  add_case("abs", {x}, [](const auto& in) { return abs_op(in[0]); });
+
+  add_case("reshape", {x},
+           [](const auto& in) { return reshape(in[0], {6, 4}); });
+  add_case("concat/0", {x, make_input({2, 6}, 109)},
+           [](const auto& in) { return concat({in[0], in[1]}, 0); });
+  add_case("concat/1", {x, make_input({4, 3}, 110)},
+           [](const auto& in) { return concat({in[0], in[1]}, 1); });
+  add_case("gather_rows", {x}, [](const auto& in) {
+    const std::vector<std::int64_t> idx = {3, 0, 0, 2, 1, 3};
+    return gather_rows(in[0], idx);
+  });
+  for (const Reduce r : {Reduce::Sum, Reduce::Mean, Reduce::Max, Reduce::Min})
+    add_case("scatter_reduce/" + std::to_string(static_cast<int>(r)),
+             {make_input({7, 5}, 111)}, [r](const auto& in) {
+               const std::vector<std::int64_t> dst = {0, 2, 2, 1, 0, 2, 3};
+               return scatter_reduce(in[0], dst, 5, r);
+             });
+  add_case("max_axis0", {x}, [](const auto& in) { return max_axis0(in[0]); });
+  return cases;
+}
+
+TEST(NoTape, ForwardsByteEqualToTapedAndRecordNoEdge) {
+  // Under NoGradGuard, or with autograd on but no parent requiring grad,
+  // every op must return the taped op's exact bytes and record no edge.
+  for (const OpCase& c : no_tape_cases()) {
+    const Tensor taped = c.op(copies(c.inputs, true));
+    ASSERT_TRUE(records_edge(taped)) << c.name;
+
+    const Tensor plain = c.op(copies(c.inputs, false));
+    EXPECT_TRUE(records_nothing(plain)) << c.name << " (no grad inputs)";
+    EXPECT_TRUE(same_bytes(plain, taped)) << c.name << " (no grad inputs)";
+
+    Tensor guarded;
+    {
+      NoGradGuard ng;
+      guarded = c.op(copies(c.inputs, true));
+    }
+    EXPECT_TRUE(records_nothing(guarded)) << c.name << " (NoGradGuard)";
+    EXPECT_TRUE(same_bytes(guarded, taped)) << c.name << " (NoGradGuard)";
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "core/simd.hpp"
 #include "gnn/gnn.hpp"
 #include "graph/graph.hpp"
@@ -190,8 +191,10 @@ TEST(SimdHelpers, DistAccumulateMatchesScalarBitwise) {
 
 // ---- the ops built on the helpers ------------------------------------------
 
-/// Naive c[i,j] = sum_p a[i,p] * b[p,j], accumulated in ascending p with
-/// one mul+add per step — the historical matmul order.
+/// Naive c[i,j] = sum_p a[i,p] * b[p,j], accumulated in ascending p from +0
+/// with one mul+add per step — the historical matmul order. Terms with
+/// a[i,p] == 0 are left out, as the forward matmul always has (so an inf or
+/// NaN in b behind a zero of a never shows).
 std::vector<float> naive_matmul(const std::vector<float>& a,
                                 const std::vector<float>& b, std::int64_t m,
                                 std::int64_t k, std::int64_t n) {
@@ -199,74 +202,123 @@ std::vector<float> naive_matmul(const std::vector<float>& a,
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) {
       float acc = 0.f;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a[static_cast<std::size_t>(i * k + p)] *
-               b[static_cast<std::size_t>(p * n + j)];
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = a[static_cast<std::size_t>(i * k + p)];
+        if (av == 0.f) continue;
+        acc += av * b[static_cast<std::size_t>(p * n + j)];
+      }
       c[static_cast<std::size_t>(i * n + j)] = acc;
     }
   return c;
 }
 
+/// Output widths that take every column-tile path of the matmul kernel:
+/// scalar tail only, one 8-tile, 16, 32, 32 + tail, 32 + 8 + tail, many
+/// 32-tiles.
+const std::int64_t kMatmulWidths[] = {1, 7, 8, 13, 16, 32, 33, 41, 64, 256};
+
+/// Inner dimensions up to 256 (the kernel's stack buffer for a row's p
+/// list), plus 257: one past it, onto the heap.
+const std::int64_t kMatmulInner[] = {1, 5, 17, 64, 256, 257};
+
+/// a[m,k] with zeros (and -0.0) sprinkled in, plus finite values.
+std::vector<float> sparse_lhs(std::int64_t m, std::int64_t k, Rng& rng) {
+  auto a = random_floats(static_cast<std::size_t>(m * k), rng);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (i % 5 == 1) a[i] = 0.f;
+    if (i % 7 == 3) a[i] = -0.f;
+  }
+  return a;
+}
+
 TEST(SimdOps, MatmulForwardBitIdenticalToNaiveReference) {
+  // matmul's forward kernel against the naive zero-skipping loop, bitwise:
+  // every column-tile path, inner dimensions past the stack buffer, zeros
+  // and -0.0 in a, -0.0 in b, and an inf / NaN in b rows that only ever
+  // meet a zero of a. Pool width 3 splits the larger shapes across rows.
   Rng rng(21);
-  for (const auto [m, k, n] :
-       {std::array<std::int64_t, 3>{1, 1, 1},
-        std::array<std::int64_t, 3>{3, 5, 7},
-        std::array<std::int64_t, 3>{8, 8, 8},
-        std::array<std::int64_t, 3>{9, 17, 13},
-        std::array<std::int64_t, 3>{16, 31, 33}}) {
-    const auto av = random_floats(static_cast<std::size_t>(m * k), rng);
-    const auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
-    const Tensor a = Tensor::from_vector({m, k}, av);
-    const Tensor b = Tensor::from_vector({k, n}, bv);
-    const Tensor c = matmul(a, b);
-    const std::vector<float> ref = naive_matmul(av, bv, m, k, n);
-    ASSERT_EQ(c.numel(), static_cast<std::int64_t>(ref.size()));
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      ASSERT_EQ(c.data()[i], ref[i])
-          << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+    core::ScopedNumThreads scoped(threads);
+    for (const std::int64_t k : kMatmulInner)
+      for (const std::int64_t n : kMatmulWidths) {
+        const std::int64_t m = (k * n >= 64 * 64) ? 37 : 5;
+        auto av = sparse_lhs(m, k, rng);
+        auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
+        for (std::size_t i = 0; i < bv.size(); i += 11) bv[i] = -0.f;
+        // Column p = k - 1 of a is all zero, so row k - 1 of b is never
+        // read by the reference: poison it.
+        for (std::int64_t i = 0; i < m; ++i)
+          av[static_cast<std::size_t>(i * k + k - 1)] = (i % 2) ? 0.f : -0.f;
+        for (std::int64_t j = 0; j < n; ++j)
+          bv[static_cast<std::size_t>((k - 1) * n + j)] =
+              (j % 3 == 0) ? nan : ((j % 3 == 1) ? inf : -inf);
+        const Tensor c = matmul(Tensor::from_vector({m, k}, av),
+                                Tensor::from_vector({k, n}, bv));
+        const std::vector<float> got(c.data().begin(), c.data().end());
+        EXPECT_TRUE(bits_equal(got, naive_matmul(av, bv, m, k, n)))
+            << "threads=" << threads << " m=" << m << " k=" << k
+            << " n=" << n;
+      }
   }
 }
 
 TEST(SimdOps, MatmulBackwardBitIdenticalToNaiveReference) {
   // The backward pass runs the other two kernels: ga = g @ b^T
-  // (raw_matmul_a_bt) and gb = a^T @ g (raw_matmul_at_b). References
-  // accumulate in ascending p exactly like the kernels' axpy form.
+  // (raw_matmul_a_bt: the forward kernel without zero-skip over a
+  // transposed b) and gb = a^T @ g (raw_matmul_at_b). References
+  // accumulate in ascending order from +0, the same arithmetic. The seed
+  // holds zeros and -0.0, b holds -0.0 and an inf that meets a zero of the
+  // seed (ga[0, 0] is NaN: the a @ b^T reference has no zero-skip); pool
+  // width 3 splits the larger shapes across rows.
   Rng rng(22);
-  for (const auto [m, k, n] :
-       {std::array<std::int64_t, 3>{3, 5, 7},
-        std::array<std::int64_t, 3>{9, 17, 13},
-        std::array<std::int64_t, 3>{16, 9, 31}}) {
-    const auto av = random_floats(static_cast<std::size_t>(m * k), rng);
-    const auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
-    std::vector<float> seed(static_cast<std::size_t>(m * n));
-    for (std::size_t i = 0; i < seed.size(); ++i)
-      seed[i] = static_cast<float>(static_cast<int>(i % 5) - 2) * 0.75f;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+    core::ScopedNumThreads scoped(threads);
+    for (const std::int64_t k : kMatmulWidths)
+      for (const std::int64_t n : kMatmulInner) {
+        const std::int64_t m = (k * n >= 64 * 64) ? 37 : 5;
+        const auto av = random_floats(static_cast<std::size_t>(m * k), rng);
+        auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
+        for (std::size_t i = 1; i < bv.size(); i += 11) bv[i] = -0.f;
+        bv[0] = inf;
+        auto seed = sparse_lhs(m, n, rng);
+        seed[0] = 0.f;
 
-    Tensor a = Tensor::from_vector({m, k}, av, /*requires_grad=*/true);
-    Tensor b = Tensor::from_vector({k, n}, bv, /*requires_grad=*/true);
-    Tensor c = matmul(a, b);
-    c.backward(seed);
+        Tensor a = Tensor::from_vector({m, k}, av, /*requires_grad=*/true);
+        Tensor b = Tensor::from_vector({k, n}, bv, /*requires_grad=*/true);
+        Tensor c = matmul(a, b);
+        c.backward(seed);
 
-    // ga[i,p] = sum_j g[i,j] * b[p,j] — ascending j.
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t p = 0; p < k; ++p) {
-        float acc = 0.f;
-        for (std::int64_t j = 0; j < n; ++j)
-          acc += seed[static_cast<std::size_t>(i * n + j)] *
-                 bv[static_cast<std::size_t>(p * n + j)];
-        ASSERT_EQ(a.grad()[static_cast<std::size_t>(i * k + p)], acc)
-            << "ga " << i << "," << p;
-      }
-    // gb[p,j] = sum_i a[i,p] * g[i,j] — ascending i.
-    for (std::int64_t p = 0; p < k; ++p)
-      for (std::int64_t j = 0; j < n; ++j) {
-        float acc = 0.f;
+        // ga[i,p] = sum_j g[i,j] * b[p,j] — ascending j, no zero-skip.
+        std::vector<float> ga(static_cast<std::size_t>(m * k));
         for (std::int64_t i = 0; i < m; ++i)
-          acc += av[static_cast<std::size_t>(i * k + p)] *
-                 seed[static_cast<std::size_t>(i * n + j)];
-        ASSERT_EQ(b.grad()[static_cast<std::size_t>(p * n + j)], acc)
-            << "gb " << p << "," << j;
+          for (std::int64_t p = 0; p < k; ++p) {
+            float acc = 0.f;
+            for (std::int64_t j = 0; j < n; ++j)
+              acc += seed[static_cast<std::size_t>(i * n + j)] *
+                     bv[static_cast<std::size_t>(p * n + j)];
+            ga[static_cast<std::size_t>(i * k + p)] = acc;
+          }
+        // gb[p,j] = sum_i a[i,p] * g[i,j] — ascending i.
+        std::vector<float> gb(static_cast<std::size_t>(k * n));
+        for (std::int64_t p = 0; p < k; ++p)
+          for (std::int64_t j = 0; j < n; ++j) {
+            float acc = 0.f;
+            for (std::int64_t i = 0; i < m; ++i)
+              acc += av[static_cast<std::size_t>(i * k + p)] *
+                     seed[static_cast<std::size_t>(i * n + j)];
+            gb[static_cast<std::size_t>(p * n + j)] = acc;
+          }
+        const std::vector<float> got_a(a.grad().begin(), a.grad().end());
+        const std::vector<float> got_b(b.grad().begin(), b.grad().end());
+        EXPECT_TRUE(bits_equal(got_a, ga))
+            << "ga threads=" << threads << " m=" << m << " k=" << k
+            << " n=" << n;
+        EXPECT_TRUE(bits_equal(got_b, gb))
+            << "gb threads=" << threads << " m=" << m << " k=" << k
+            << " n=" << n;
       }
   }
 }

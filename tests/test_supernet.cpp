@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "core/parallel.hpp"
 #include "hgnas/supernet.hpp"
 
 namespace hg::hgnas {
@@ -134,6 +136,46 @@ TEST(SuperNet, FunctionChoiceAffectsOutput) {
   for (std::int64_t i = 0; i < ya.numel(); ++i)
     if (std::fabs(ya.data()[i] - yb.data()[i]) > 1e-7f) differs = true;
   EXPECT_TRUE(differs);
+}
+
+TEST(SuperNet, NoGradForwardByteEqualToTapedForward) {
+  // The search's accuracy probes run the forward under NoGradGuard, where
+  // no op records an edge or copies its operands; the logits must be the
+  // taped forward's exact bytes, on the serial (width 1) and the pooled
+  // (width 3: fused aggregation) paths.
+  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+    core::ScopedNumThreads scoped(threads);
+    Rng rng(10);
+    const SpaceConfig space = small_space();
+    SuperNet net(space, small_config(), rng);
+    pointcloud::Dataset data(4, 32, 19);
+    Adam opt(net.parameters(), 2e-3f);
+    net.train_epoch(data.train(), [&space](Rng& r) {
+      return random_arch(space, r);
+    }, opt, 8, rng);
+    net.set_training(false);
+    for (int i = 0; i < 64; ++i) {
+      const Arch a = random_arch(space, rng);
+      const Tensor pts = pointcloud::Dataset::to_tensor(
+          data.train()[static_cast<std::size_t>(i) % data.train().size()]);
+      const std::uint64_t seed = rng.next();
+      Rng r_taped(seed), r_plain(seed);
+      const Tensor taped = net.forward(a, pts, r_taped);
+      ASSERT_TRUE(taped.requires_grad());
+      Tensor plain;
+      {
+        NoGradGuard ng;
+        plain = net.forward(a, pts, r_plain);
+      }
+      EXPECT_FALSE(plain.requires_grad());
+      EXPECT_TRUE(plain.impl()->parents.empty());
+      ASSERT_EQ(plain.shape(), taped.shape());
+      EXPECT_EQ(std::memcmp(plain.data().data(), taped.data().data(),
+                            taped.data().size() * sizeof(float)),
+                0)
+          << "threads " << threads << " arch " << i;
+    }
+  }
 }
 
 TEST(SuperNet, RejectsBadConfig) {
