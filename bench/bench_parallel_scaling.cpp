@@ -3,8 +3,8 @@
 // (EdgeConv forward, fused vs materializing Aggregate), graph construction
 // (KNN), and the end-to-end Engine::search() on the quickstart workload.
 //
-// Every comparison runs the identical computation at num_threads=1 (the
-// historical serial path) and at the hardware thread count; the kernels are
+// Every comparison runs the identical computation at num_threads=1 (every
+// loop inline) and at the hardware thread count; kernels and search are
 // bit-for-bit thread-count invariant, so the speedup is pure scheduling.
 // Results are printed and written to BENCH_parallel_scaling.json
 // (wall-clock ms, pool width, problem size, git rev).

@@ -11,8 +11,9 @@
 //    to the serial loop. Consequently results are bit-for-bit identical for
 //    ANY thread count, including 1.
 //  * `set_num_threads(1)` short-circuits every parallel_for into a plain
-//    inline call of the serial body — the legacy single-threaded path,
-//    bit-for-bit and with zero synchronisation overhead.
+//    inline call of the serial body, with zero synchronisation overhead.
+//    The width selects no other code path: every module computes the same
+//    result at every width, 1 included.
 //  * Nested parallel_for calls run inline on the calling worker (no
 //    deadlock, no oversubscription): the outer level owns the pool.
 //  * Exceptions thrown inside a chunk are captured and rethrown on the
@@ -35,7 +36,7 @@ std::int64_t hardware_threads();
 std::int64_t num_threads();
 
 /// Resize the pool. n == 0 selects hardware concurrency; n == 1 disables
-/// the pool entirely (serial path). Must not be called from inside a
+/// the pool entirely (loops run inline). Must not be called from inside a
 /// parallel region. Idempotent when the width is unchanged.
 void set_num_threads(std::int64_t n);
 

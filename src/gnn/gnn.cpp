@@ -352,11 +352,6 @@ Tensor aggregate_fused(const Tensor& x, const graph::EdgeList& g,
 
 Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,
                  Reduce reduce) {
-  // One thread: preserve the historical composite path bit-for-bit
-  // (including its tape structure). Pool active: the fused kernel computes
-  // the same bits without the [E, message_dim] materialisation.
-  if (core::num_threads() == 1)
-    return aggregate_materialized(x, g, mt, reduce);
   return aggregate_fused(x, g, mt, reduce);
 }
 

@@ -43,14 +43,15 @@ Tensor build_messages(const Tensor& x, const graph::EdgeList& g,
                       MessageType mt);
 
 /// Aggregate = build_messages + scatter_reduce onto destination nodes.
-/// Returns [num_nodes x message_dim]. Dispatches to the fused kernel when
-/// the thread pool is active, the materialising reference otherwise.
+/// Returns [num_nodes x message_dim]. Runs the fused kernel at every pool
+/// width; its values and gradients are the materialising reference's bits.
 Tensor aggregate(const Tensor& x, const graph::EdgeList& g, MessageType mt,
                  Reduce reduce);
 
 /// Reference Aggregate: materialise the full [num_edges x message_dim]
-/// message tensor, then scatter-reduce it (the historical composite-op
-/// implementation; every intermediate lives on the autograd tape).
+/// message tensor, then scatter-reduce it (the composite-op definition the
+/// fused kernel is tested and benchmarked against; every intermediate lives
+/// on the autograd tape).
 Tensor aggregate_materialized(const Tensor& x, const graph::EdgeList& g,
                               MessageType mt, Reduce reduce);
 

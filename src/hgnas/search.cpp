@@ -16,14 +16,20 @@ namespace hg::hgnas {
 
 namespace {
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument("HgnasSearch: " + msg);
+// Consecutive already-seen draws after which an EA fill loop gives up: the
+// canonical space has (almost) no unseen genome left. With even 1% of it
+// unseen, uniform draws hit a run this long with probability
+// 0.99^1000 < 5e-5, so the cap leaves searches in an open space alone.
+constexpr std::int64_t kMaxDuplicateRun = 1000;
+
+[[noreturn]] void fail(const std::string& msg) {
+  throw std::invalid_argument("HgnasSearch: " + msg);
 }
 
-/// Candidate evaluation fans out across the pool when it is active. The
-/// serial path (1 thread) reproduces the historical sequential pipeline —
-/// shared RNG stream and all — bit for bit.
-bool batch_eval_enabled() { return core::num_threads() > 1; }
+// Literal messages only: the success path builds no string.
+void check(bool cond, const char* msg) {
+  if (!cond) fail(msg);
+}
 
 /// Holds the supernet in inference mode for the duration of a concurrent
 /// evaluation batch, restoring training mode even when a probe throws.
@@ -250,10 +256,10 @@ bool EvalCache::load(const std::string& path) {
 LatencyFn make_measurement_evaluator(const hw::Device& device,
                                      const Workload& workload,
                                      std::uint64_t seed) {
-  check(device.spec().supports_online_measurement,
-        "device " + device.name() +
-            " does not support online measurement (paper §IV-D); use the "
-            "predictor instead");
+  if (!device.spec().supports_online_measurement)
+    fail("device " + device.name() +
+         " does not support online measurement (paper §IV-D); use the "
+         "predictor instead");
   auto rng = std::make_shared<Rng>(seed);
   return [&device, workload, rng](const Arch& arch) -> LatencyEval {
     const hw::Trace trace = lower_to_trace(arch, workload);
@@ -313,15 +319,6 @@ bool HgnasSearch::feasible(const LatencyEval& lat, double size_mb) const {
   return true;
 }
 
-double HgnasSearch::supernet_accuracy(const Arch& arch, Rng& rng) {
-  ++accuracy_probes_;
-  const std::int64_t probes =
-      std::min<std::int64_t>(cfg_.eval_val_samples,
-                             static_cast<std::int64_t>(data_.test().size()));
-  advance_clock(static_cast<double>(probes) * cfg_.sim_eval_s_per_sample);
-  return supernet_.evaluate(arch, data_.test(), probes, rng);
-}
-
 bool HgnasSearch::gate_candidate(const Arch& arch, Scored& s) {
   s.arch = arch;
   ++latency_queries_;
@@ -336,33 +333,6 @@ bool HgnasSearch::gate_candidate(const Arch& arch, Scored& s) {
     return false;
   }
   return true;
-}
-
-HgnasSearch::Scored HgnasSearch::score_candidate(const Arch& arch, Rng& rng) {
-  Scored s;
-  if (!gate_candidate(arch, s)) return s;
-  s.acc = supernet_accuracy(arch, rng);
-  s.fitness = objective(s.acc, s.latency_ms, false);
-  s.is_feasible = true;
-  return s;
-}
-
-HgnasSearch::Scored HgnasSearch::score_cached(const Arch& arch,
-                                              const std::string& key,
-                                              Rng& rng) {
-  if (cfg_.use_eval_cache) {
-    Scored hit;
-    if (cache_->lookup(run_scope_, key, &hit)) {
-      ++cache_hits_;
-      record_frontier(hit);
-      return hit;
-    }
-  }
-  ++cache_misses_;
-  Scored s = score_candidate(arch, rng);
-  if (cfg_.use_eval_cache) cache_->insert(run_scope_, key, s);
-  record_frontier(s);
-  return s;
 }
 
 std::vector<HgnasSearch::Scored> HgnasSearch::score_batch(
@@ -511,36 +481,40 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
                                                    r);
   };
 
-  const bool batch_eval = batch_eval_enabled();
-  // Drawn up-front (batch path only) so cache hits cannot shift the main
-  // stream: every candidate's probe RNG derives from this one seed and its
-  // own genome.
-  const std::uint64_t acc_seed = batch_eval ? rng.next() : 0;
+  // Drawn up-front so cache hits cannot shift the main stream: every
+  // candidate's probe RNG derives from this one seed and its own genome.
+  const std::uint64_t acc_seed = rng.next();
 
   std::vector<Scored> population;
   std::unordered_set<std::uint64_t> seen;
   std::vector<PendingEval> pending;
 
+  // Queues `a` for scoring unless its canonical form was seen this run:
+  // genomes differing only in unused function attributes execute
+  // identically and must not both consume evaluation budget.
   auto admit = [&](const Arch& a) -> bool {
-    // Dedup on the canonical form: genomes differing only in unused
-    // function attributes execute identically and must not both consume
-    // evaluation budget.
     const Arch canon = canonicalize(a);
     const auto h = canon.hash();
     if (!seen.insert(h).second) return false;
-    std::string key = arch_to_text(canon);
-    if (batch_eval) {
-      pending.push_back(PendingEval{a, std::move(key), h});
-    } else {
-      population.push_back(score_cached(a, key, rng));
-    }
+    pending.push_back(PendingEval{a, arch_to_text(canon), h});
     return true;
   };
-  auto admitted = [&] {
-    return static_cast<std::int64_t>(population.size() + pending.size());
+  // Random draws until `want` genomes are admitted or kMaxDuplicateRun
+  // draws in a row were already seen. Only a space with (almost) no unseen
+  // genome left hits the cap; the generation then goes on with what it
+  // admitted instead of drawing forever.
+  auto fill = [&](std::int64_t want) {
+    for (std::int64_t run = 0; want > 0 && run < kMaxDuplicateRun;) {
+      if (admit(sample_candidate(rng))) {
+        --want;
+        run = 0;
+      } else {
+        ++run;
+      }
+    }
   };
   // Score the generation's admissions concurrently and append in admit
-  // order (no-op on the serial path, which scored inside admit).
+  // order.
   auto flush = [&] {
     if (pending.empty()) return;
     std::vector<Scored> scored = score_batch(pending, acc_seed);
@@ -548,7 +522,7 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
     pending.clear();
   };
 
-  while (admitted() < cfg_.population) admit(sample_candidate(rng));
+  fill(cfg_.population);
   flush();
   prog->sim_time_s = sim_time_s_;
   ++prog->steps;
@@ -567,7 +541,8 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
 
   for (std::int64_t t = 0; t < cfg_.iterations; ++t) {
     std::sort(population.begin(), population.end(), by_fitness);
-    population.resize(static_cast<std::size_t>(cfg_.population));
+    if (static_cast<std::int64_t>(population.size()) > cfg_.population)
+      population.resize(static_cast<std::size_t>(cfg_.population));
 
     result.history.push_back({sim_time_s_, population.front().fitness});
 
@@ -599,9 +574,7 @@ core::Stepper HgnasSearch::co_evolve(FunctionSet upper, FunctionSet lower,
       if (admit(child)) ++produced;
     }
     // Keep diversity if mutation stalled on duplicates.
-    while (produced < offspring_target) {
-      if (admit(sample_candidate(rng))) ++produced;
-    }
+    fill(offspring_target - produced);
     flush();
     prog->sim_time_s = sim_time_s_;
     prog->best_objective = result.history.back().best_objective;
@@ -648,24 +621,14 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
     FunctionSet upper, lower;
     double fitness = 0.0;
   };
-  const bool batch_eval = batch_eval_enabled();
-  auto eval_pair = [&](const FunctionSet& up, const FunctionSet& lo) {
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < cfg_.function_paths_per_eval; ++i) {
-      const Arch probe =
-          random_arch_with_functions(cfg_.space, up, lo, rng);
-      acc += supernet_accuracy(probe, rng);
-    }
-    return acc / static_cast<double>(cfg_.function_paths_per_eval);
-  };
-  // Batch path: score fn_pop[first..] in one fork-join — probe paths and
-  // their seeds are drawn serially from the main stream, then every probe's
-  // supernet pass runs concurrently.
   struct FnProbe {
     Arch arch;
     std::uint64_t seed = 0;
     double acc = 0.0;
   };
+  // Score group[first..] in one fork-join: probe paths and their seeds are
+  // drawn serially from the main stream, then every probe's supernet pass
+  // runs concurrently.
   auto eval_group = [&](std::vector<ScoredFn>& group, std::size_t first) {
     const std::int64_t paths = cfg_.function_paths_per_eval;
     const std::int64_t probe_samples = std::min<std::int64_t>(
@@ -704,12 +667,9 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
   };
 
   std::vector<ScoredFn> fn_pop;
-  for (std::int64_t i = 0; i < cfg_.population; ++i) {
-    ScoredFn s{random_functions(rng), random_functions(rng), 0.0};
-    if (!batch_eval) s.fitness = eval_pair(s.upper, s.lower);
-    fn_pop.push_back(std::move(s));
-  }
-  if (batch_eval) eval_group(fn_pop, 0);
+  for (std::int64_t i = 0; i < cfg_.population; ++i)
+    fn_pop.push_back({random_functions(rng), random_functions(rng), 0.0});
+  eval_group(fn_pop, 0);
   prog->phase = SearchProgress::Phase::kStage1;
   prog->sim_time_s = sim_time_s_;
   ++prog->steps;
@@ -740,10 +700,9 @@ core::Stepper HgnasSearch::co_run_multistage(Rng& rng, SearchResult* out,
         child.upper = mutate_functions(p1.upper, cfg_.mutation_prob, rng);
         child.lower = mutate_functions(p1.lower, cfg_.mutation_prob, rng);
       }
-      if (!batch_eval) child.fitness = eval_pair(child.upper, child.lower);
       fn_pop.push_back(std::move(child));
     }
-    if (batch_eval) eval_group(fn_pop, first_child);
+    eval_group(fn_pop, first_child);
     prog->sim_time_s = sim_time_s_;
     ++prog->steps;
     co_await std::suspend_always{};
@@ -850,12 +809,11 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
   open_cache();
   const std::int64_t budget =
       cfg_.population + cfg_.iterations * (cfg_.population / 2);
-  // One history point per EA-iteration-equivalent chunk of budget; the
-  // batch path also evaluates one chunk per fork-join.
+  // One history point and one fork-join per EA-iteration-equivalent chunk
+  // of budget.
   const std::int64_t chunk =
       std::max<std::int64_t>(1, cfg_.population / 2);
-  const bool batch_eval = batch_eval_enabled();
-  const std::uint64_t acc_seed = batch_eval ? rng.next() : 0;
+  const std::uint64_t acc_seed = rng.next();
 
   bool have_best = false;
   bool best_feasible = false;
@@ -883,44 +841,23 @@ core::Stepper HgnasSearch::co_run_random(Rng& rng, SearchResult* out,
   std::int64_t done = 0;
   while (done < budget) {
     const std::int64_t n = std::min<std::int64_t>(chunk, budget - done);
-    if (batch_eval) {
-      std::vector<PendingEval> batch;
-      batch.reserve(static_cast<std::size_t>(n));
-      for (std::int64_t i = 0; i < n; ++i) {
-        const Arch arch = random_arch(cfg_.space, rng);
-        const Arch canon = canonicalize(arch);
-        batch.push_back(PendingEval{arch, arch_to_text(canon), canon.hash()});
-      }
-      for (const Scored& s : score_batch(batch, acc_seed)) consider(s);
-      done += n;
-      if (done % chunk == 0)
-        result.history.push_back({sim_time_s_, result.best_objective});
-      prog->phase = SearchProgress::Phase::kSampling;
-      prog->sim_time_s = sim_time_s_;
-      prog->best_objective = result.best_objective;
-      prog->has_best = have_best;
-      ++prog->steps;
-      co_await std::suspend_always{};
-    } else {
-      // Serial path: the historical sequential pipeline, one shared RNG
-      // stream. The memo cache is bypassed here because a hit would skip
-      // that stream's accuracy draws and change every later candidate.
-      for (std::int64_t i = 0; i < n; ++i) {
-        ++cache_misses_;
-        const Scored s = score_candidate(random_arch(cfg_.space, rng), rng);
-        record_frontier(s);
-        consider(s);
-        ++done;
-        if (done % chunk == 0)
-          result.history.push_back({sim_time_s_, result.best_objective});
-      }
-      prog->phase = SearchProgress::Phase::kSampling;
-      prog->sim_time_s = sim_time_s_;
-      prog->best_objective = result.best_objective;
-      prog->has_best = have_best;
-      ++prog->steps;
-      co_await std::suspend_always{};
+    std::vector<PendingEval> batch;
+    batch.reserve(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Arch arch = random_arch(cfg_.space, rng);
+      const Arch canon = canonicalize(arch);
+      batch.push_back(PendingEval{arch, arch_to_text(canon), canon.hash()});
     }
+    for (const Scored& s : score_batch(batch, acc_seed)) consider(s);
+    done += n;
+    if (done % chunk == 0)
+      result.history.push_back({sim_time_s_, result.best_objective});
+    prog->phase = SearchProgress::Phase::kSampling;
+    prog->sim_time_s = sim_time_s_;
+    prog->best_objective = result.best_objective;
+    prog->has_best = have_best;
+    ++prog->steps;
+    co_await std::suspend_always{};
   }
   result.history.push_back({sim_time_s_, result.best_objective});
   finalize_result(result);

@@ -182,9 +182,9 @@ struct SearchConfig {
   /// Memoise candidate scores on the serialized canonical genome for the
   /// duration of one search run, so a re-visited candidate is never
   /// re-evaluated (hits/misses are reported in SearchResult). Disable only
-  /// for A/B experiments; with a deterministic evaluator and the pool
-  /// active (num_threads > 1, where accuracy-probe RNG streams are derived
-  /// from the genome) disabling it reproduces the exact same search.
+  /// for A/B experiments; with a deterministic evaluator (accuracy-probe
+  /// RNG streams are derived from the genome) disabling it reproduces the
+  /// exact same search.
   bool use_eval_cache = true;
 
   /// Identity of the latency evaluator, folded into the memo-cache scope so
@@ -305,28 +305,20 @@ class HgnasSearch {
     std::uint64_t hash = 0;
   };
 
-  /// Latency gate shared by the serial and batch scoring paths (paper
-  /// §III-C: only candidates that meet the hardware constraint are
-  /// evaluated for accuracy). Fills the latency/feasibility side of `s`
-  /// and returns true when the accuracy probe must run.
+  /// Latency gate of the scoring pipeline (paper §III-C: only candidates
+  /// that meet the hardware constraint are evaluated for accuracy). Fills
+  /// the latency/feasibility side of `s` and returns true when the accuracy
+  /// probe must run.
   bool gate_candidate(const Arch& arch, Scored& s);
 
-  /// Evaluate Eq. (3) for an arch: latency gate first (predictor is cheap,
-  /// accuracy probes are not).
-  Scored score_candidate(const Arch& arch, Rng& rng);
-
-  /// Serial-path scoring through the memo cache (shared rng — this is the
-  /// historical bit-for-bit sequential pipeline when hits do not occur).
-  Scored score_cached(const Arch& arch, const std::string& key, Rng& rng);
-
-  /// Batch-path scoring: the latency gate, clock and counters run serially
-  /// in batch order; feasible candidates' accuracy probes fan out across
-  /// the pool, each with an RNG derived from (acc_seed, genome hash) so the
-  /// result is independent of scheduling and of the thread count.
+  /// Scores a batch through the memo cache: the latency gate, clock and
+  /// counters run serially in batch order; feasible candidates' accuracy
+  /// probes fan out across the pool, each with an RNG derived from
+  /// (acc_seed, genome hash), so the result is the same for every pool
+  /// width, 1 included.
   std::vector<Scored> score_batch(const std::vector<PendingEval>& batch,
                                   std::uint64_t acc_seed);
 
-  double supernet_accuracy(const Arch& arch, Rng& rng);
   void advance_clock(double seconds) { sim_time_s_ += seconds; }
   void reset_run_state();
 

@@ -51,12 +51,10 @@ class SuperNet final : public nn::Module {
   /// One SPOS training pass over `train`: every sample gets a fresh
   /// uniformly-sampled path from `sampler`. Returns mean loss.
   ///
-  /// When the execution pool is active (num_threads > 1), the forward
-  /// passes of each gradient-accumulation batch run concurrently — paths
-  /// and per-sample RNG streams are drawn serially up front and the
-  /// backward passes replay serially in sample order, so the result is
-  /// identical for every pool width > 1. num_threads == 1 is the
-  /// historical sequential pipeline (shared RNG stream), bit for bit.
+  /// The forward passes of each gradient-accumulation batch fan out across
+  /// the execution pool — paths and per-sample RNG streams are drawn
+  /// serially up front and the backward passes replay serially in sample
+  /// order, so the result is identical for every pool width, 1 included.
   double train_epoch(const std::vector<pointcloud::Sample>& train,
                      const std::function<Arch(Rng&)>& sampler, Adam& opt,
                      std::int64_t batch_size, Rng& rng);

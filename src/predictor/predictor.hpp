@@ -149,7 +149,9 @@ class LatencyPredictor final : public nn::Module {
 
 /// Sample `count` random architectures and label them with simulated
 /// measurements on `device` (the paper's 30K-sample collection step).
-/// Architectures that OOM are skipped (no valid latency label).
+/// Architectures that OOM are skipped (no valid latency label). A
+/// one-device collect_labeled_archs_multi: the same labels at every pool
+/// width.
 std::vector<LabeledArch> collect_labeled_archs(
     const hw::Device& device, const hgnas::SpaceConfig& space,
     const hgnas::Workload& w, std::int64_t count, std::uint64_t seed);
@@ -163,11 +165,13 @@ struct CollectSpec {
 
 /// Label architectures for M devices through ONE pooled measurement queue:
 /// per-device draws stay serial (each device owns an RNG seeded from its
-/// spec), but the expensive lowering + simulated measurements of every
-/// device fan out across the shared execution pool together, so fitting
-/// predictors for a fleet shares one queue instead of M sequential
-/// collection passes. Result i is identical — arch for arch, label for
-/// label — to collect_labeled_archs(*specs[i].device, ..., specs[i].seed).
+/// spec, and every measurement its own seed drawn from it), but the
+/// expensive lowering + simulated measurements of every device fan out
+/// across the shared execution pool together, so fitting predictors for a
+/// fleet shares one queue instead of M sequential collection passes.
+/// Result i is identical — arch for arch, label for label — to
+/// collect_labeled_archs(*specs[i].device, ..., specs[i].seed), at every
+/// pool width.
 std::vector<std::vector<LabeledArch>> collect_labeled_archs_multi(
     std::span<const CollectSpec> specs, const hgnas::SpaceConfig& space,
     const hgnas::Workload& w);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "api/engine.hpp"
@@ -166,6 +167,37 @@ TEST(Engine, RandomStrategyRespectsBudgetAndConstraint) {
             cfg.population + cfg.iterations * (cfg.population / 2));
   EXPECT_GT(r.best_objective, 0.0);
   EXPECT_FALSE(r.history.empty());
+}
+
+TEST(Engine, SearchFinishesWhenTheSpaceRunsOutOfGenomes) {
+  // At one or two positions the canonical space holds fewer unseen genomes
+  // than the EA's fill loops ask for (stage 2 alone has 4^positions
+  // layouts). A generation then goes on with what it admitted instead of
+  // drawing forever. Under an unmeetable latency budget every candidate is
+  // infeasible, so a placeholder padded into a short population (no genes,
+  // zero latency) would rank first and show up as the result.
+  for (const std::optional<double> budget_ms :
+       {std::optional<double>{}, std::optional<double>{1e-9}}) {
+    for (const std::int64_t positions : {1, 2}) {
+      for (const char* strategy : {"multistage", "onestage", "random"}) {
+        EngineConfig cfg = EngineConfig::tiny();
+        cfg.num_positions = positions;
+        cfg.strategy = strategy;
+        cfg.latency_budget_ms = budget_ms;
+        Result<Engine> created = Engine::create(cfg);
+        ASSERT_TRUE(created.ok()) << created.status().to_string();
+        Result<SearchReport> report = created.value().search();
+        ASSERT_TRUE(report.ok())
+            << strategy << " at " << positions << " positions: "
+            << report.status().to_string();
+        const SearchResult& r = report.value().result;
+        EXPECT_EQ(r.best_arch.num_positions(), positions) << strategy;
+        EXPECT_GT(r.best_latency_ms, 0.0) << strategy;
+        EXPECT_FALSE(r.history.empty()) << strategy;
+        EXPECT_GT(r.latency_queries, 0) << strategy;
+      }
+    }
+  }
 }
 
 TEST(EvalContext, PersistedEvalCacheWarmsTheNextRun) {

@@ -7,15 +7,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "core/parallel.hpp"
 #include "gnn/gnn.hpp"
 #include "graph/graph.hpp"
 #include "hgnas/search.hpp"
 #include "hgnas/serialize_arch.hpp"
+#include "net/protocol.hpp"
 #include "predictor/predictor.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -268,8 +272,8 @@ TEST(FusedAggregate, DispatchIsThreadCountInvariant) {
   for (const std::int64_t threads : {1, 4}) {
     ScopedNumThreads scoped(threads);
     Tensor x = Tensor::from_vector({n, c}, xv, /*requires_grad=*/true);
-    // aggregate() picks materialized at 1 thread, fused otherwise; the two
-    // must agree bit-for-bit.
+    // aggregate() runs the fused kernel at every width (inline at 1
+    // thread, split across the pool at 4); both must give the same bits.
     Tensor y = gnn::aggregate(x, g, gnn::MessageType::TargetRel, Reduce::Max);
     y.backward(seed);
     if (threads == 1) {
@@ -363,25 +367,39 @@ struct TinySearchFixture {
     return search.run_random(rng);
   }
 
-  hgnas::SearchResult run_multistage(std::int64_t threads) {
+  /// One run of `strategy` over `positions` positions, three generations.
+  hgnas::SearchResult run(hgnas::SearchStrategy strategy,
+                          std::int64_t positions, std::int64_t threads) {
     ScopedNumThreads scoped(threads);
     Rng init_rng(5);
-    // Stage 2 fixes the functions, shrinking the canonical space to
-    // 4^positions operation layouts; it must stay comfortably above the
-    // deduplicated population + offspring count or the fill loop starves.
-    hgnas::SpaceConfig wide = space;
-    wide.num_positions = 4;
-    hgnas::SuperNet supernet(wide, sn_cfg, init_rng);
+    hgnas::SpaceConfig sized = space;
+    sized.num_positions = positions;
+    hgnas::SuperNet supernet(sized, sn_cfg, init_rng);
     hgnas::SearchConfig cfg = make_cfg();
-    cfg.space = wide;
+    cfg.space = sized;
     cfg.iterations = 3;
     hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
     hgnas::HgnasSearch search(supernet, data, cfg,
                               hgnas::make_oracle_evaluator(dev, cfg.workload));
     Rng rng(99);
-    return search.run_multistage(rng);
+    hgnas::SearchResult out;
+    hgnas::SearchProgress prog;
+    core::Stepper stepper = search.run_stepwise(strategy, rng, &out, &prog);
+    while (stepper.step()) {
+    }
+    return out;
   }
 };
+
+/// The wire encoding of a search result: every field, counters and
+/// frontier included, as bytes.
+std::string encoded(const hgnas::SearchResult& result) {
+  api::SearchReport report;
+  report.result = result;
+  net::Writer w;
+  net::encode_search_report(report, &w);
+  return w.take();
+}
 
 TEST(ConcurrentSearch, MemoCacheSkipsRevisitsWithoutChangingTheResult) {
   TinySearchFixture f;
@@ -400,20 +418,27 @@ TEST(ConcurrentSearch, MemoCacheSkipsRevisitsWithoutChangingTheResult) {
 }
 
 TEST(ConcurrentSearch, BatchPathDeterministicAcrossThreadCounts) {
+  // Every strategy gives the same bytes at every pool width, 1 included:
+  // candidates, probe RNG streams, memo-cache traffic, simulated clock,
+  // history and the in-loop Pareto frontier. Random sampling also runs on
+  // the one-position space, where it revisits genomes and the memo cache
+  // answers them.
   TinySearchFixture f;
-  const hgnas::SearchResult r2 = f.run_multistage(2);
-  const hgnas::SearchResult r4 = f.run_multistage(4);
-  EXPECT_EQ(hgnas::arch_to_text(r2.best_arch),
-            hgnas::arch_to_text(r4.best_arch));
-  EXPECT_DOUBLE_EQ(r2.best_objective, r4.best_objective);
-  EXPECT_DOUBLE_EQ(r2.best_supernet_acc, r4.best_supernet_acc);
-  EXPECT_EQ(r2.latency_queries, r4.latency_queries);
-  EXPECT_EQ(r2.accuracy_probes, r4.accuracy_probes);
-  // The in-loop Pareto frontier is part of the deterministic contract.
-  ASSERT_EQ(r2.frontier.size(), r4.frontier.size());
-  for (std::size_t i = 0; i < r2.frontier.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r2.frontier[i].accuracy, r4.frontier[i].accuracy);
-    EXPECT_DOUBLE_EQ(r2.frontier[i].latency_ms, r4.frontier[i].latency_ms);
+  const std::pair<hgnas::SearchStrategy, std::int64_t> cases[] = {
+      {hgnas::SearchStrategy::kMultistage, 4},
+      {hgnas::SearchStrategy::kOnestage, 4},
+      {hgnas::SearchStrategy::kRandom, 4},
+      {hgnas::SearchStrategy::kRandom, 1}};
+  for (const auto& [strategy, positions] : cases) {
+    const hgnas::SearchResult ref = f.run(strategy, positions, 1);
+    if (positions == 1) {
+      EXPECT_GT(ref.eval_cache_hits, 0);
+    }
+    for (const std::int64_t threads : {2, 4}) {
+      EXPECT_EQ(encoded(f.run(strategy, positions, threads)), encoded(ref))
+          << "strategy " << static_cast<int>(strategy) << " positions "
+          << positions << " threads " << threads;
+    }
   }
 }
 
@@ -614,18 +639,21 @@ TEST(ParallelTraining, TrainEpochDeterministicAcrossThreadCounts) {
     return std::make_pair(loss, params);
   };
 
-  const auto [loss2, params2] = run(2);
-  const auto [loss4, params4] = run(4);
-  EXPECT_EQ(loss2, loss4);
-  ASSERT_EQ(params2.size(), params4.size());
-  for (std::size_t p = 0; p < params2.size(); ++p)
-    for (std::size_t i = 0; i < params2[p].size(); ++i)
-      ASSERT_EQ(params2[p][i], params4[p][i]) << "param " << p << " " << i;
-
-  // The serial path trains too (different RNG discipline, same schedule).
   const auto [loss1, params1] = run(1);
   EXPECT_TRUE(std::isfinite(loss1));
-  EXPECT_EQ(params1.size(), params2.size());
+  for (const std::int64_t threads : {2, 4}) {
+    const auto [loss, params] = run(threads);
+    EXPECT_EQ(std::memcmp(&loss, &loss1, sizeof loss), 0)
+        << "threads " << threads;
+    ASSERT_EQ(params.size(), params1.size());
+    for (std::size_t p = 0; p < params1.size(); ++p) {
+      ASSERT_EQ(params[p].size(), params1[p].size());
+      EXPECT_EQ(std::memcmp(params[p].data(), params1[p].data(),
+                            params1[p].size() * sizeof(float)),
+                0)
+          << "threads " << threads << " param " << p;
+    }
+  }
 }
 
 TEST(ParallelTraining, CollectLabeledArchsDeterministicAcrossThreadCounts) {
@@ -641,17 +669,21 @@ TEST(ParallelTraining, CollectLabeledArchsDeterministicAcrossThreadCounts) {
     ScopedNumThreads scoped(threads);
     return predictor::collect_labeled_archs(dev, space, w, 50, 77);
   };
-  const auto r2 = collect(2);
-  const auto r4 = collect(4);
-  ASSERT_EQ(r2.size(), 50u);
-  ASSERT_EQ(r4.size(), r2.size());
-  for (std::size_t i = 0; i < r2.size(); ++i) {
-    EXPECT_EQ(hgnas::arch_to_text(r2[i].arch),
-              hgnas::arch_to_text(r4[i].arch));
-    EXPECT_DOUBLE_EQ(r2[i].latency_ms, r4[i].latency_ms);
+  const auto r1 = collect(1);
+  ASSERT_EQ(r1.size(), 50u);
+  for (const std::int64_t threads : {2, 4}) {
+    const auto r = collect(threads);
+    ASSERT_EQ(r.size(), r1.size());
+    for (std::size_t i = 0; i < r1.size(); ++i) {
+      EXPECT_EQ(hgnas::arch_to_text(r[i].arch),
+                hgnas::arch_to_text(r1[i].arch))
+          << "threads " << threads << " arch " << i;
+      EXPECT_EQ(std::memcmp(&r[i].latency_ms, &r1[i].latency_ms,
+                            sizeof(double)),
+                0)
+          << "threads " << threads << " label " << i;
+    }
   }
-  // Serial path still yields a full set (its own historical stream).
-  EXPECT_EQ(collect(1).size(), 50u);
 }
 
 }  // namespace

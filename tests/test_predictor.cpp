@@ -331,8 +331,8 @@ TEST(Predictor, NonFiniteScoreIsAnErrorInBothHeads) {
 
 TEST(CollectLabeled, MultiDeviceShardingMatchesPerDeviceCollection) {
   // Fleet collection through one pooled queue must hand every device the
-  // exact labelled set a lone collection would have produced — for the
-  // serial path and for any pool width.
+  // exact labelled set a lone collection would have produced, at any pool
+  // width.
   hw::Device rtx = hw::make_device(hw::DeviceKind::Rtx3080);
   hw::Device i7 = hw::make_device(hw::DeviceKind::IntelI7_8700K);
   const CollectSpec specs[] = {{&rtx, 20, 5}, {&i7, 15, 9}};

@@ -141,8 +141,8 @@ TEST(SuperNet, FunctionChoiceAffectsOutput) {
 TEST(SuperNet, NoGradForwardByteEqualToTapedForward) {
   // The search's accuracy probes run the forward under NoGradGuard, where
   // no op records an edge or copies its operands; the logits must be the
-  // taped forward's exact bytes, on the serial (width 1) and the pooled
-  // (width 3: fused aggregation) paths.
+  // taped forward's exact bytes, with loops inline (width 1) and split
+  // across the pool (width 3).
   for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
     core::ScopedNumThreads scoped(threads);
     Rng rng(10);
