@@ -2,11 +2,12 @@
 //
 // The serving layer's generation-sliced scheduler exists for exactly one
 // number: the p99 of a small predict probe submitted while an exclusive
-// search occupies the service. Run-to-completion (exclusive_slice_ms = 0)
-// parks the probe behind the whole search; with a slice, the search is
-// preempted at the next generation boundary and the probe is answered in
-// between slices. Same context, same requests, same results — only the
-// interleaving differs.
+// search occupies the service. An unbounded slice (exclusive_slice_ms = 0:
+// the search steps but never yields) parks the probe behind the whole
+// search; with a slice, the search is preempted at the next generation
+// boundary and the probe is answered in between slices. Same context, same
+// requests, same results — the slice decides when a run yields, never
+// what it computes.
 //
 // Method: one worker (the worst case — no second worker to absorb pure
 // traffic), one long search submitted, then a closed loop of predict
@@ -98,9 +99,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
     // Closed-loop probing: submit one predict, wait for its answer, record
-    // the wall time, repeat while the search is still in flight. Under
-    // run-to-completion the first probe simply waits out the search — that
-    // IS the tail a mixed-load client sees.
+    // the wall time, repeat while the search is still in flight. At slice
+    // 0 (the search never yields) the first probe simply waits out the
+    // search — that IS the tail a mixed-load client sees.
     std::vector<double> samples_ms;
     const std::size_t max_probes = quick ? 400 : 2000;
     do {

@@ -66,6 +66,18 @@ Status validate_arch(const Arch& arch) {
   return Status::Ok();
 }
 
+/// Drives a begin_* run (SearchRun / TrainBaselineRun) to completion: the
+/// monolithic verbs are exactly this, so they can never diverge from the
+/// stepped runs serve::Service slices.
+template <typename Run>
+auto run_to_completion(Result<std::unique_ptr<Run>> run)
+    -> decltype(run.value()->take_report()) {
+  if (!run.ok()) return run.status();
+  while (run.value()->step()) {
+  }
+  return run.value()->take_report();
+}
+
 }  // namespace
 
 Result<Engine> Engine::create(const EngineConfig& cfg) {
@@ -126,41 +138,17 @@ Result<Engine> Engine::create(const EngineConfig& cfg,
 }
 
 Result<SearchReport> Engine::search() {
-  static obs::Counter& searches = engine_counter("engine.searches");
-  searches.inc();
-  StrategyRequest req;
-  req.supernet = &ctx_->supernet();
-  req.data = &ctx_->data();
-  req.cfg = search_cfg_;
-  req.latency = evaluator_.fn;
-  req.rng = &ctx_->rng();
-  req.eval_cache = &ctx_->eval_cache();
-  try {
-    Result<hgnas::SearchResult> result =
-        Registry::global().run_strategy(cfg_.strategy, req);
-    if (!result.ok()) return result.status();
-    SearchReport report;
-    report.result = std::move(result).value();
-    last_cache_hits_ = report.result.eval_cache_hits;
-    last_cache_misses_ = report.result.eval_cache_misses;
-    report.visualization =
-        hgnas::visualize(report.result.best_arch, deploy_workload());
-    for (const ParetoPoint& p : report.result.frontier) {
-      char line[64];
-      std::snprintf(line, sizeof(line), "%12.1f %10.3f\n", p.latency_ms,
-                    p.accuracy);
-      report.frontier_table += line;
-    }
-    return report;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("search failed: ") + e.what());
+  Result<SearchReport> report = run_to_completion(begin_search());
+  if (report.ok()) {
+    last_cache_hits_ = report.value().result.eval_cache_hits;
+    last_cache_misses_ = report.value().result.eval_cache_misses;
   }
+  return report;
 }
 
 Result<std::unique_ptr<SearchRun>> Engine::begin_search() {
-  // Counts as a search like the monolithic verb: serve::Service picks one
-  // form or the other depending on slicing, and engine.searches should
-  // not depend on which.
+  // Counted here, once per search: search() and serve::Service both run
+  // every search through this.
   static obs::Counter& searches = engine_counter("engine.searches");
   searches.inc();
   StrategyRequest req;
@@ -361,24 +349,15 @@ Result<ProfileReport> Engine::profile_baseline(const std::string& name,
 }
 
 Result<TrainReport> Engine::train_baseline(const std::string& name) {
-  static obs::Counter& trains = engine_counter("engine.train_baselines");
-  trains.inc();
-  Result<std::unique_ptr<Lowerable>> baseline =
-      Registry::global().make_baseline(name);
-  if (!baseline.ok()) return baseline.status();
-  try {
-    const BaselineTrainResult r = baseline.value()->train(
-        ctx_->data(), train_workload(), cfg_.train_epochs, cfg_.train_lr,
-        ctx_->rng());
-    return TrainReport{r.overall_acc, r.balanced_acc, 0.0, r.param_mb};
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("baseline training failed: ") +
-                            e.what());
-  }
+  return run_to_completion(begin_train_baseline(name));
 }
 
 Result<std::unique_ptr<TrainBaselineRun>> Engine::begin_train_baseline(
     const std::string& name) {
+  // Counted here, once per training: train_baseline() and serve::Service
+  // both run every baseline training through this.
+  static obs::Counter& trains = engine_counter("engine.train_baselines");
+  trains.inc();
   Result<std::unique_ptr<Lowerable>> baseline =
       Registry::global().make_baseline(name);
   if (!baseline.ok()) return baseline.status();
@@ -386,8 +365,8 @@ Result<std::unique_ptr<TrainBaselineRun>> Engine::begin_train_baseline(
   run->ctx_ = ctx_;
   run->baseline_ = std::move(baseline).value();
   try {
-    // The model is materialised here, consuming the context RNG exactly as
-    // train_baseline() would before its first epoch.
+    // The model is materialised here, consuming the context RNG before
+    // the first epoch.
     run->stepper_ = run->baseline_->train_stepper(
         ctx_->data(), train_workload(), cfg_.train_epochs, cfg_.train_lr,
         ctx_->rng());

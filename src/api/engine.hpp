@@ -142,14 +142,15 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Run the configured search strategy end to end.
+  /// Run the configured search strategy end to end: begin_search() driven
+  /// to completion (plus the memo-cache counters ProfileReport surfaces).
   Result<SearchReport> search();
 
-  /// Generation-granular form of search(): the returned run is advanced one
-  /// step at a time and yields the identical report when driven to
-  /// completion (the stepper drives the same coroutine search() does).
-  /// serve::Service preempts long searches at this granularity. The run
-  /// keeps the engine's EvalContext alive, so it may outlive this Engine.
+  /// The one way a search runs: the returned run is advanced one step (one
+  /// generation) at a time; search() drives it straight through and
+  /// serve::Service yields between its steps, so both give the same report
+  /// by construction. The run keeps the engine's EvalContext alive, so it
+  /// may outlive this Engine.
   Result<std::unique_ptr<SearchRun>> begin_search();
 
   /// Latency of one architecture through the configured evaluator. Noisy
@@ -187,10 +188,11 @@ class Engine {
   /// Train a CPU-scale instance of a named baseline on the engine's
   /// dataset (config().train_epochs / train_lr) — the accuracy columns of
   /// Table II / Fig. 2 / Fig. 6. mean_loss is 0 (baseline training loops
-  /// report accuracy only).
+  /// report accuracy only). begin_train_baseline() driven to completion.
   Result<TrainReport> train_baseline(const std::string& name);
-  /// Epoch-granular form of train_baseline(): bit-identical when driven to
-  /// completion (same model construction, same RNG consumption order).
+  /// The one way a baseline trains: one epoch per step (model construction
+  /// and its RNG draws happen here). train_baseline() drives it straight
+  /// through; serve::Service yields between its steps.
   Result<std::unique_ptr<TrainBaselineRun>> begin_train_baseline(
       const std::string& name);
 
@@ -248,10 +250,9 @@ class Engine {
 };
 
 /// An in-flight search advanced one generation at a time — the scheduling
-/// unit serve::Service preempts under its exclusive time slice. Obtained
-/// from Engine::begin_search(). step() never throws: failures are captured
-/// and surface from take_report(), exactly as Engine::search() would have
-/// reported them.
+/// unit serve::Service yields at. Obtained from Engine::begin_search().
+/// step() never throws: failures are captured and surface from
+/// take_report().
 class SearchRun {
  public:
   SearchRun(const SearchRun&) = delete;
@@ -268,7 +269,7 @@ class SearchRun {
     return stepper_ != nullptr ? stepper_->progress() : fallback_progress_;
   }
   /// FAILED_PRECONDITION until done(); afterwards the report (or error
-  /// Status) Engine::search() would have produced. Consumes the result.
+  /// Status). Consumes the result.
   Result<SearchReport> take_report();
 
  private:
@@ -299,7 +300,7 @@ class TrainBaselineRun {
   bool step();
   bool done() const { return finished_; }
   /// FAILED_PRECONDITION until done(); afterwards the report (or error
-  /// Status) Engine::train_baseline() would have produced.
+  /// Status).
   Result<TrainReport> take_report();
 
  private:

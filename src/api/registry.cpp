@@ -34,21 +34,6 @@ std::vector<std::string> sorted_keys(const Map& map) {
   return out;
 }
 
-// ---- built-in strategies ---------------------------------------------------
-
-/// Wrap HgnasSearch construction (which throws std::invalid_argument on a
-/// bad SearchConfig) into the Status model.
-template <typename Fn>
-Result<hgnas::SearchResult> with_search(const StrategyRequest& req, Fn run) {
-  try {
-    hgnas::HgnasSearch search(*req.supernet, *req.data, req.cfg, req.latency,
-                              req.eval_cache);
-    return run(search);
-  } catch (const std::invalid_argument& e) {
-    return Status::InvalidArgument(e.what());
-  }
-}
-
 // ---- built-in evaluators ---------------------------------------------------
 
 Result<EvaluatorBundle> make_oracle(const EvaluatorRequest& req) {
@@ -127,25 +112,9 @@ Registry::Registry() {
   evaluators_["measured"] = make_measured;
   evaluators_["predictor"] = make_predictor;
 
-  strategies_["multistage"] = [](const StrategyRequest& req) {
-    return with_search(req, [&](hgnas::HgnasSearch& s) {
-      return Result<hgnas::SearchResult>(s.run_multistage(*req.rng));
-    });
-  };
-  strategies_["onestage"] = [](const StrategyRequest& req) {
-    return with_search(req, [&](hgnas::HgnasSearch& s) {
-      return Result<hgnas::SearchResult>(s.run_onestage(*req.rng));
-    });
-  };
-  strategies_["random"] = [](const StrategyRequest& req) {
-    return with_search(req, [&](hgnas::HgnasSearch& s) {
-      return Result<hgnas::SearchResult>(s.run_random(*req.rng));
-    });
-  };
-
-  // Stepwise companions: the same pipelines as generation-granular
-  // steppers (SearchStepper drives the identical coroutine the run_*
-  // wrappers above drive, so both forms stay bit-identical).
+  // The built-in strategies register their stepwise form only:
+  // SearchStepper drives the same coroutine as HgnasSearch::run_*, and
+  // Engine::search() is begin_search() driven to completion.
   auto stepper_for = [](hgnas::SearchStrategy strategy) {
     return [strategy](const StrategyRequest& req)
                -> Result<std::unique_ptr<hgnas::SearchStepper>> {
@@ -196,9 +165,10 @@ Status Registry::register_strategy(const std::string& name,
                                    StrategyFn strategy) {
   const std::string key = normalize_key(name);
   if (key.empty()) return Status::InvalidArgument("strategy name is empty");
-  if (!strategies_.emplace(key, std::move(strategy)).second)
+  if (has_strategy(key))
     return Status::InvalidArgument("strategy '" + key +
                                    "' already registered");
+  strategies_.emplace(key, std::move(strategy));
   return Status::Ok();
 }
 
@@ -206,9 +176,10 @@ Status Registry::register_strategy_stepper(const std::string& name,
                                            StrategyStepperFactory factory) {
   const std::string key = normalize_key(name);
   if (key.empty()) return Status::InvalidArgument("strategy name is empty");
-  if (!strategy_steppers_.emplace(key, std::move(factory)).second)
-    return Status::InvalidArgument("strategy stepper '" + key +
+  if (has_strategy(key))
+    return Status::InvalidArgument("strategy '" + key +
                                    "' already registered");
+  strategy_steppers_.emplace(key, std::move(factory));
   return Status::Ok();
 }
 
@@ -253,8 +224,8 @@ Result<hgnas::SearchResult> Registry::run_strategy(
     const std::string& name, const StrategyRequest& req) const {
   const auto it = strategies_.find(normalize_key(name));
   if (it == strategies_.end())
-    return Status::NotFound("unknown strategy '" + name +
-                            "' (known: " + known_names(strategies_) + ")");
+    return Status::NotFound("strategy '" + name +
+                            "' has no monolithic form registered");
   if (req.supernet == nullptr || req.data == nullptr || req.rng == nullptr)
     return Status::Internal("StrategyRequest has null borrows");
   if (!req.latency)
@@ -285,7 +256,8 @@ Result<std::unique_ptr<Lowerable>> Registry::make_baseline(
 }
 
 bool Registry::has_strategy(const std::string& name) const {
-  return strategies_.count(normalize_key(name)) > 0;
+  const std::string key = normalize_key(name);
+  return strategies_.count(key) > 0 || strategy_steppers_.count(key) > 0;
 }
 
 bool Registry::has_strategy_stepper(const std::string& name) const {
@@ -299,7 +271,11 @@ std::vector<std::string> Registry::evaluator_names() const {
   return sorted_keys(evaluators_);
 }
 std::vector<std::string> Registry::strategy_names() const {
-  return sorted_keys(strategies_);
+  std::vector<std::string> out = sorted_keys(strategies_);
+  const std::vector<std::string> stepwise = sorted_keys(strategy_steppers_);
+  out.insert(out.end(), stepwise.begin(), stepwise.end());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 std::vector<std::string> Registry::baseline_names() const {
   return canonical_baselines_;

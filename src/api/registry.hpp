@@ -89,12 +89,14 @@ class Registry {
   using DeviceFactory = std::function<hw::Device()>;
   using EvaluatorFactory =
       std::function<Result<EvaluatorBundle>(const EvaluatorRequest&)>;
+  /// Monolithic form of a custom strategy: runs the whole search in one
+  /// call. Engine::begin_search drives it as a single (non-preemptible)
+  /// step; the built-ins register only their stepwise form.
   using StrategyFn =
       std::function<Result<hgnas::SearchResult>(const StrategyRequest&)>;
   /// Stepwise form of a strategy: builds a generation-granular stepper over
-  /// the request instead of running to completion. The built-in strategies
-  /// register both; a custom strategy may register only the monolithic fn
-  /// (Engine::begin_search then falls back to one whole-run step).
+  /// the request. Every search runs through Engine::begin_search, which
+  /// steps this form — the built-in strategies register only this one.
   using StrategyStepperFactory = std::function<
       Result<std::unique_ptr<hgnas::SearchStepper>>(const StrategyRequest&)>;
   using BaselineFactory = std::function<std::unique_ptr<Lowerable>()>;
@@ -104,11 +106,11 @@ class Registry {
 
   // Registration: names are case-insensitive; re-registering an existing
   // name returns INVALID_ARGUMENT (built-ins cannot be shadowed silently).
+  // A strategy name has exactly one form: register_strategy and
+  // register_strategy_stepper share one namespace.
   Status register_device(const std::string& name, DeviceFactory factory);
   Status register_evaluator(const std::string& name, EvaluatorFactory factory);
   Status register_strategy(const std::string& name, StrategyFn strategy);
-  /// Optional stepwise companion to register_strategy (same key rules; the
-  /// monolithic fn must exist or be registered too for run_strategy).
   Status register_strategy_stepper(const std::string& name,
                                    StrategyStepperFactory factory);
   /// `alias` may be empty; like devices, aliases resolve but are not
@@ -119,6 +121,8 @@ class Registry {
   Result<hw::Device> make_device(const std::string& name) const;
   Result<EvaluatorBundle> make_evaluator(const std::string& name,
                                          const EvaluatorRequest& req) const;
+  /// Runs a strategy registered with register_strategy; NOT_FOUND for
+  /// every other name (the built-ins included — step those instead).
   Result<hgnas::SearchResult> run_strategy(const std::string& name,
                                            const StrategyRequest& req) const;
   /// Builds the stepwise run for a strategy registered with
@@ -129,6 +133,7 @@ class Registry {
   Result<std::unique_ptr<Lowerable>> make_baseline(
       const std::string& name) const;
 
+  /// True for a strategy registered in either form.
   bool has_strategy(const std::string& name) const;
   bool has_strategy_stepper(const std::string& name) const;
 

@@ -17,10 +17,12 @@
 //       old client sees a clean typed error, not a silent hangup.
 //       Later v2 addition: kPredictBatchN, a multi-predict frame the
 //       server hands to the service as ONE unit of work (one
-//       predict_batch call) instead of N queued requests. Same
-//       payload codecs as kPredictBatch; an older v2 peer that does not
-//       know the type answers it with a typed INVALID_ARGUMENT reply, so
-//       a client can detect and fall back.
+//       predict_batch call). It replaces kPredictBatch, which fanned a
+//       frame out into N queued requests past the kMaxWireBatch cap: that
+//       type number stays reserved and is answered INVALID_ARGUMENT
+//       without running. An older v2 peer that does not know kPredictBatchN
+//       answers it with a typed INVALID_ARGUMENT reply, so a client can
+//       detect and fall back.
 //
 // Frame layout (header is exactly kHeaderSize bytes):
 //
@@ -29,9 +31,12 @@
 //        4     2  version      kProtocolVersion (2)
 //        6     2  type         FrameType (request, or request | kReplyBit)
 //        8     8  request_id   caller-chosen, echoed verbatim in the reply
-//       16     8  deadline_us  queue-time budget in microseconds from
-//                              server receipt; 0 = no deadline. Ignored in
-//                              replies.
+//       16     8  deadline_us  budget in microseconds from server receipt
+//                              (serve::RequestOptions::deadline): bounds
+//                              queue time for every verb, and a running
+//                              search / train_baseline is stopped at its
+//                              next step once it passes. 0 = no deadline.
+//                              Ignored in replies.
 //       24     4  payload_len  bytes following the header
 //
 // Every request frame gets exactly one reply frame with the same
@@ -73,6 +78,9 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MB
 enum class FrameType : std::uint16_t {
   kSearch = 1,
   kPredictLatency = 2,
+  /// Retired (reserved): the per-element multi-predict frame. A server
+  /// answers it INVALID_ARGUMENT without running anything; send
+  /// kPredictBatchN instead.
   kPredictBatch = 3,
   kProfile = 4,
   kProfileBaseline = 5,
@@ -91,12 +99,12 @@ enum class FrameType : std::uint16_t {
   /// protocol v2.
   kPing = 8,
   /// N latency predictions in one frame, submitted to the service as ONE
-  /// unit of work (serve::PredictBatchRequest -> one predict_batch call)
-  /// rather than N separate queue entries like kPredictBatch.
+  /// unit of work (serve::PredictBatchRequest -> one predict_batch call).
   /// Payload: encode_predict_batch_request; reply:
   /// encode_predict_batch_reply (one Result per element, in order). A
   /// batch larger than kMaxWireBatch is refused up front with per-element
-  /// RESOURCE_EXHAUSTED (+ retry hint) — it never reaches the service.
+  /// RESOURCE_EXHAUSTED (no retry hint: the same frame can never
+  /// succeed) — it never reaches the service.
   kPredictBatchN = 9,
   /// Empty-payload metrics scrape, answered from the server's I/O thread
   /// like kPing: the reply is OK + the full flattened metrics snapshot

@@ -16,6 +16,7 @@
 #include <future>
 #include <map>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -101,12 +102,26 @@ class OutQueue {
   std::size_t bytes_ = 0;     // total unflushed bytes across bufs_
 };
 
+/// One report codec per reply type, so a resolved future picks its
+/// encoder by type (kProfile and kProfileBaseline share one).
+void encode_report(const api::SearchReport& rep, Writer* w) {
+  encode_search_report(rep, w);
+}
+void encode_report(const api::LatencyReport& rep, Writer* w) {
+  encode_latency_report(rep, w);
+}
+void encode_report(const api::ProfileReport& rep, Writer* w) {
+  encode_profile_report(rep, w);
+}
+void encode_report(const api::TrainReport& rep, Writer* w) {
+  encode_train_report(rep, w);
+}
+
 }  // namespace
 
 struct Server::Impl {
   /// One submitted request whose reply has not been written yet. The
-  /// future variant mirrors the request vocabulary; a batch holds one
-  /// future per element (the service coalesces them back together).
+  /// future variant mirrors the request vocabulary, one future per frame.
   struct Pending {
     std::uint64_t id = 0;
     FrameType type = FrameType::kSearch;
@@ -114,7 +129,6 @@ struct Server::Impl {
                  std::future<api::Result<api::LatencyReport>>,
                  std::future<api::Result<api::ProfileReport>>,
                  std::future<api::Result<api::TrainReport>>,
-                 std::vector<std::future<api::Result<api::LatencyReport>>>,
                  std::future<std::vector<api::Result<api::LatencyReport>>>>
         future;
     // Frame receipt, for the end-to-end "net.request" span (receipt ->
@@ -122,21 +136,10 @@ struct Server::Impl {
     std::chrono::steady_clock::time_point received_at;
 
     bool ready() const {
-      const auto done = [](const auto& f) {
-        return f.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready;
-      };
       return std::visit(
-          [&](const auto& f) {
-            if constexpr (std::is_same_v<std::decay_t<decltype(f)>,
-                                         std::vector<std::future<api::Result<
-                                             api::LatencyReport>>>>) {
-              for (const auto& e : f)
-                if (!done(e)) return false;
-              return true;
-            } else {
-              return done(f);
-            }
+          [](const auto& f) {
+            return f.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
           },
           future);
     }
@@ -605,28 +608,15 @@ struct Server::Impl {
             serve::PredictLatencyRequest{std::move(arch), std::move(opts)});
         break;
       }
-      case FrameType::kPredictBatch: {
-        std::vector<api::Arch> archs;
-        if (!decode_predict_batch_request(&r, &archs) || !r.exhausted()) {
-          reply_error(c, type, h.request_id,
-                      api::Status::InvalidArgument(
-                          "malformed predict-batch request payload"));
-          return;
-        }
-        // One service submission per element: the coalescing queue batches
-        // them back into predict_batch calls, and a bad element fails
-        // alone. The shared notify fires per element; the reply goes out
-        // when the last future resolves.
-        std::vector<std::future<api::Result<api::LatencyReport>>> futures;
-        futures.reserve(archs.size());
-        for (api::Arch& a : archs) {
-          serve::RequestOptions element = opts;
-          futures.push_back(service->submit(
-              serve::PredictLatencyRequest{std::move(a), std::move(element)}));
-        }
-        p.future = std::move(futures);
-        break;
-      }
+      case FrameType::kPredictBatch:
+        // Retired: the per-element fan-out bypassed the kMaxWireBatch cap
+        // (one frame became up to max_queue_depth queue entries). The type
+        // number stays reserved; nothing is submitted.
+        reply_error(c, type, h.request_id,
+                    api::Status::InvalidArgument(
+                        "frame type 3 (per-element predict batch) is "
+                        "retired; send kPredictBatchN (type 9)"));
+        return;
       case FrameType::kPredictBatchN: {
         std::vector<api::Arch> archs;
         if (!decode_predict_batch_request(&r, &archs) || !r.exhausted()) {
@@ -763,85 +753,24 @@ struct Server::Impl {
           status.code() == api::StatusCode::kResourceExhausted)
         service->record_shed_hint();
     };
-    switch (p.type) {
-      case FrameType::kSearch: {
-        const api::Result<api::SearchReport> r =
-            std::get<std::future<api::Result<api::SearchReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::SearchReport>(
-            r,
-            [](const api::SearchReport& rep, Writer* w) {
-              encode_search_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kPredictLatency: {
-        const api::Result<api::LatencyReport> r =
-            std::get<std::future<api::Result<api::LatencyReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::LatencyReport>(
-            r,
-            [](const api::LatencyReport& rep, Writer* w) {
-              encode_latency_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kPredictBatch: {
-        auto& futures = std::get<
-            std::vector<std::future<api::Result<api::LatencyReport>>>>(
-            p.future);
-        std::vector<api::Result<api::LatencyReport>> results;
-        results.reserve(futures.size());
-        for (auto& f : futures) {
-          results.push_back(f.get());
-          if (!results.back().ok()) note_shed(results.back().status());
-        }
-        return encode_predict_batch_reply(results, hint);
-      }
-      case FrameType::kPredictBatchN: {
-        std::vector<api::Result<api::LatencyReport>> results =
-            std::get<std::future<std::vector<api::Result<api::LatencyReport>>>>(
-                p.future)
-                .get();
-        for (const auto& e : results)
-          if (!e.ok()) note_shed(e.status());
-        return encode_predict_batch_reply(results, hint);
-      }
-      case FrameType::kProfile:
-      case FrameType::kProfileBaseline: {
-        const api::Result<api::ProfileReport> r =
-            std::get<std::future<api::Result<api::ProfileReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::ProfileReport>(
-            r,
-            [](const api::ProfileReport& rep, Writer* w) {
-              encode_profile_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kTrainBaseline: {
-        const api::Result<api::TrainReport> r =
-            std::get<std::future<api::Result<api::TrainReport>>>(p.future)
-                .get();
-        if (!r.ok()) note_shed(r.status());
-        return encode_reply<api::TrainReport>(
-            r,
-            [](const api::TrainReport& rep, Writer* w) {
-              encode_train_report(rep, w);
-            },
-            hint);
-      }
-      case FrameType::kGoodbye:
-      case FrameType::kPing:
-      case FrameType::kStats:
-        break;  // never a Pending; fall to the error below
-    }
-    Writer w;
-    encode_status(api::Status::Internal("unreachable reply type"), &w);
-    return w.take();
+    return std::visit(
+        [&](auto& future) {
+          const auto result = future.get();
+          if constexpr (std::is_same_v<
+                            std::decay_t<decltype(result)>,
+                            std::vector<api::Result<api::LatencyReport>>>) {
+            for (const auto& e : result)
+              if (!e.ok()) note_shed(e.status());
+            return encode_predict_batch_reply(result, hint);
+          } else {
+            if (!result.ok()) note_shed(result.status());
+            return encode_reply(
+                result,
+                [](const auto& rep, Writer* w) { encode_report(rep, w); },
+                hint);
+          }
+        },
+        p.future);
   }
 
   /// False when the connection broke mid-write. One gathered sendv per

@@ -37,24 +37,24 @@ namespace hg::serve {
 struct RequestOptions {
   /// Absolute point after which the request must not *start*: a request
   /// still queued when its deadline passes resolves to DEADLINE_EXCEEDED
-  /// without running (and without consuming any context RNG). With
-  /// ServiceConfig::exclusive_slice_ms == 0 a request already running is
-  /// never interrupted — the deadline bounds queue time, not execution
-  /// time. With slicing enabled, a sliced exclusive run (search /
-  /// train_baseline) additionally checks the deadline between steps and
-  /// resolves DEADLINE_EXCEEDED mid-run, within one generation / epoch;
-  /// the partially-advanced run is discarded (the shared-context RNG it
-  /// consumed stays consumed). max() = no deadline.
+  /// without running (and without consuming any context RNG). A search or
+  /// train_baseline already running checks it between steps at every
+  /// ServiceConfig::exclusive_slice_ms value (the slice decides when a run
+  /// yields, never whether it can be stopped) and resolves
+  /// DEADLINE_EXCEEDED mid-run, within one generation / epoch; the
+  /// partially-advanced run is discarded (the shared-context RNG it
+  /// consumed stays consumed). Other verbs, once started, run to the end.
+  /// max() = no deadline.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 
-  /// Cooperative cancellation for queued requests: set the flag (any
-  /// thread) and a request not yet started resolves to CANCELLED instead
-  /// of running. With ServiceConfig::exclusive_slice_ms > 0 the flag is
-  /// also checked between the steps of a sliced exclusive run, so a
-  /// mid-search cancel resolves within one generation. net::Server uses
-  /// one flag per connection so a client disconnect abandons that
-  /// connection's still-queued (or sliced in-flight) work.
+  /// Cooperative cancellation: set the flag (any thread) and a request not
+  /// yet started resolves to CANCELLED instead of running. The flag is
+  /// also checked between the steps of a running search / train_baseline
+  /// at every slice value, so a mid-search cancel resolves within one
+  /// generation. net::Server uses one flag per connection so a client
+  /// disconnect abandons that connection's queued and in-flight stepped
+  /// work.
   std::shared_ptr<std::atomic<bool>> cancel;
 
   /// Invoked exactly once, after the request's promise has been resolved
@@ -92,7 +92,8 @@ struct PredictLatencyRequest {
 };
 
 /// N latency queries submitted as ONE unit of work: the whole batch is
-/// fed straight into one Engine::predict_batch call instead of being queued as N separate requests. The future
+/// fed straight into one Engine::predict_batch call instead of being
+/// queued as N separate requests. The future
 /// resolves with one Result per arch, in submission order; a bad element
 /// fails alone (the service falls back to lone queries when the batched
 /// call rejects the batch), so every answer is bit-identical to an

@@ -106,7 +106,7 @@ api::Result<std::shared_ptr<Service>> Service::create(
   if (service_cfg.exclusive_slice_ms < 0)
     return api::Status::InvalidArgument(
         "ServiceConfig::exclusive_slice_ms must be >= 0 "
-        "(0 = run to completion)");
+        "(0 = unbounded slice)");
   if (ctx == nullptr)
     return api::Status::InvalidArgument("EvalContext is null");
 
@@ -190,13 +190,13 @@ void Service::record_shed_hint() {
   counters_.sheds_with_hint.inc();
 }
 
-Service::Admission Service::enqueue(QueuedTask task, bool exclusive,
-                                    bool count_predict, std::int64_t count) {
+api::Status Service::enqueue(QueuedTask task, bool exclusive,
+                             bool count_predict, std::int64_t count) {
   bool wake_window = false;
   {
     core::MutexLock lock(queue_mutex_);
-    if (stopping_) return Admission::kShutDown;
-    if (draining_) return Admission::kDraining;
+    if (stopping_) return shut_down_status();
+    if (draining_) return draining_status();
     counters_.requests.inc(count);
     if (count_predict)
       counters_.predict_requests.inc(count);
@@ -207,7 +207,7 @@ Service::Admission Service::enqueue(QueuedTask task, bool exclusive,
     if (service_cfg_.max_queue_depth > 0 &&
         depth >= service_cfg_.max_queue_depth) {
       counters_.rejected_requests.inc(count);
-      return Admission::kQueueFull;
+      return queue_full_status();
     }
     if (exclusive) {
       counters_.exclusive_requests.inc();
@@ -222,7 +222,7 @@ Service::Admission Service::enqueue(QueuedTask task, bool exclusive,
   // its early-fire conditions, and it sleeps on window_cv_, not work_cv_.
   work_cv_.notify_one();
   if (wake_window) window_cv_.notify_one();
-  return Admission::kAccepted;
+  return api::Status::Ok();
 }
 
 template <typename T>
@@ -244,34 +244,24 @@ std::future<api::Result<T>> Service::submit_task(
   task.cancel = std::move(opts.cancel);
   task.enqueued_at = std::chrono::steady_clock::now();
   task.trace_id = effective_trace_id(opts.trace_id);
-  task.run = [fn = std::move(fn), resolve](api::Engine& engine) {
-    resolve(fn(engine));
-  };
   if (make_run) {
-    // The stepwise form resolves the same promise through the same
-    // closure, so the two paths are interchangeable per task.
     task.make_steppable = [make_run = std::move(make_run),
                            resolve](api::Engine& engine) {
       return make_run(engine, resolve);
+    };
+  } else {
+    task.run = [fn = std::move(fn), resolve](api::Engine& engine) {
+      resolve(fn(engine));
     };
   }
   task.fail = [resolve](const api::Status& status) { resolve(status); };
   // Keep a handle for the not-admitted paths: `task` is gone after the
   // move into enqueue.
   const std::function<void(const api::Status&)> fail = task.fail;
-  switch (enqueue(std::move(task), exclusive, count_predict)) {
-    case Admission::kAccepted:
-      break;
-    case Admission::kShutDown:
-      fail(shut_down_status());
-      break;
-    case Admission::kQueueFull:
-      fail(queue_full_status());
-      break;
-    case Admission::kDraining:
-      fail(draining_status());
-      break;
-  }
+  if (const api::Status refused =
+          enqueue(std::move(task), exclusive, count_predict);
+      !refused.ok())
+    fail(refused);
   return future;
 }
 
@@ -279,21 +269,16 @@ std::future<api::Result<api::SearchReport>> Service::submit(
     SearchRequest req) {
   const api::EngineConfig cfg = req.cfg.value_or(base_cfg_);
   return submit_task<api::SearchReport>(
-      [this, cfg](api::Engine&) -> api::Result<api::SearchReport> {
-        // A fresh engine per search: per-request strategy / objective /
-        // constraint overrides without touching the worker's engine, gated
-        // by context_compatible inside Engine::create.
-        api::Result<api::Engine> engine = api::Engine::create(cfg, ctx_);
-        if (!engine.ok()) return engine.status();
-        return engine.value().search();
-      },
-      std::move(req.opts), /*exclusive=*/true, /*count_predict=*/false,
+      nullptr, std::move(req.opts), /*exclusive=*/true,
+      /*count_predict=*/false,
       [this, cfg](api::Engine&,
                   std::function<void(api::Result<api::SearchReport>)> resolve)
           -> std::unique_ptr<Steppable> {
-        // Same fresh-engine policy as the monolithic path above; the run
-        // keeps the EvalContext alive itself, so the temporary engine may
-        // die as soon as begin_search() returns.
+        // A fresh engine per search: per-request strategy / objective /
+        // constraint overrides without touching the worker's engine, gated
+        // by context_compatible inside Engine::create. The run keeps the
+        // EvalContext alive itself, so the temporary engine may die as soon
+        // as begin_search() returns.
         using SearchSteppable =
             RunSteppable<api::SearchRun, api::SearchReport>;
         api::Result<api::Engine> engine = api::Engine::create(cfg, ctx_);
@@ -419,20 +404,11 @@ std::future<std::vector<api::Result<api::LatencyReport>>> Service::submit(
   const std::function<void(const api::Status&)> fail = task.fail;
   // "measured" replays the evaluator's shared noise stream: run the batch
   // on the exclusive FIFO so its elements draw exactly the serial stream.
-  switch (enqueue(std::move(task), /*exclusive=*/measured_evaluator_,
-                  /*count_predict=*/true, static_cast<std::int64_t>(n))) {
-    case Admission::kAccepted:
-      break;
-    case Admission::kShutDown:
-      fail(shut_down_status());
-      break;
-    case Admission::kQueueFull:
-      fail(queue_full_status());
-      break;
-    case Admission::kDraining:
-      fail(draining_status());
-      break;
-  }
+  if (const api::Status refused =
+          enqueue(std::move(task), /*exclusive=*/measured_evaluator_,
+                  /*count_predict=*/true, static_cast<std::int64_t>(n));
+      !refused.ok())
+    fail(refused);
   return future;
 }
 
@@ -461,8 +437,7 @@ std::future<api::Result<api::TrainReport>> Service::submit(
     TrainBaselineRequest req) {
   const std::string name = std::move(req.name);
   return submit_task<api::TrainReport>(
-      [name](api::Engine& engine) { return engine.train_baseline(name); },
-      std::move(req.opts), /*exclusive=*/true,  // draws the shared ctx RNG
+      nullptr, std::move(req.opts), /*exclusive=*/true,  // draws the ctx RNG
       /*count_predict=*/false,
       [name](api::Engine& engine,
              std::function<void(api::Result<api::TrainReport>)> resolve)
@@ -560,6 +535,41 @@ bool Service::pop_runnable(
   return false;
 }
 
+bool Service::run_slice(QueuedTask& task, api::Engine& engine,
+                        std::chrono::steady_clock::time_point started) {
+  counters_.exclusive_slices.inc();
+  if (task.steppable == nullptr) {
+    task.steppable = task.make_steppable(engine);
+    task.make_steppable = nullptr;
+  } else {
+    counters_.exclusive_resumes.inc();
+  }
+  const std::int64_t slice_ms = service_cfg_.exclusive_slice_ms;
+  for (;;) {
+    // Between steps the task is at a clean boundary: honor a cancel or an
+    // expired deadline now instead of at the end of the run.
+    if (is_cancelled(task.cancel)) {
+      counters_.cancelled_requests.inc();
+      task.steppable->abort(
+          api::Status::Cancelled("request cancelled mid-run (between steps)"));
+      return true;
+    }
+    if (std::chrono::steady_clock::now() > task.deadline) {
+      counters_.deadline_expired.inc();
+      task.steppable->abort(api::Status::DeadlineExceeded(
+          "deadline expired mid-run (between steps)"));
+      return true;
+    }
+    if (!task.steppable->step()) {
+      task.steppable->finish();
+      return true;
+    }
+    if (slice_ms > 0 && std::chrono::steady_clock::now() - started >=
+                            std::chrono::milliseconds(slice_ms))
+      return false;
+  }
+}
+
 void Service::worker_loop(std::size_t worker_index) {
   api::Engine& engine = engines_[worker_index];
   core::UniqueMutexLock lock(queue_mutex_);
@@ -584,11 +594,10 @@ void Service::worker_loop(std::size_t worker_index) {
 
     // A preempted exclusive re-parked at the queue front yields one
     // dispatch round to queued pure/predict traffic — that interleaving is
-    // the whole point of slicing. A FRESH exclusive keeps the historical
-    // drain-pure-first priority, and under slice_ms == 0 no task ever has
-    // a steppable, so this is dead code on the legacy path. Caveat: a
-    // saturating pure load can starve a preempted run (accepted — pure
-    // work is cheap and bounded, exclusives are minutes).
+    // the whole point of slicing. A FRESH exclusive keeps the
+    // drain-pure-first priority (and at slice 0 nothing is ever re-parked).
+    // Caveat: a saturating pure load can starve a preempted run (accepted
+    // — pure work is cheap and bounded, exclusives are minutes).
     const bool defer_exclusive =
         !exclusive_queue_.empty() &&
         exclusive_queue_.front().steppable != nullptr &&
@@ -621,56 +630,21 @@ void Service::worker_loop(std::size_t worker_index) {
         continue;
       }
       while (pure_active_ != 0) gate_cv_.wait(lock);
-      // Slice only the verbs that registered a stepwise form; everything
-      // else on this queue (measured-evaluator predictions) is quick and
-      // runs to completion as before.
-      const bool sliced =
-          service_cfg_.exclusive_slice_ms > 0 &&
-          (task.make_steppable != nullptr || task.steppable != nullptr);
       lock.unlock();
       // Nested spans (search.* / train.* from the steppers) inherit the
       // request's id through the thread-local.
       HG_TRACE_ID(task.trace_id);
       const auto started = std::chrono::steady_clock::now();
+      // The task's kind picks the form, never the config: search /
+      // train_baseline always step (a slice of 0 is unbounded), and the one
+      // exclusive verb without a stepwise form — a measured-evaluator
+      // prediction, which is quick — runs whole.
+      const bool stepwise = !task.run;
       bool finished = true;
-      if (!sliced) {
+      if (stepwise)
+        finished = run_slice(task, engine, started);
+      else
         task.run(engine);
-      } else {
-        counters_.exclusive_slices.inc();
-        if (task.steppable == nullptr) {
-          task.steppable = task.make_steppable(engine);
-          task.make_steppable = nullptr;
-        } else {
-          counters_.exclusive_resumes.inc();
-        }
-        const auto slice =
-            std::chrono::milliseconds(service_cfg_.exclusive_slice_ms);
-        finished = false;
-        for (;;) {
-          // Between steps the task is at a clean boundary: honor a cancel
-          // or an expired deadline now instead of at the end of the run.
-          if (is_cancelled(task.cancel)) {
-            counters_.cancelled_requests.inc();
-            task.steppable->abort(api::Status::Cancelled(
-                "request cancelled mid-run (between steps)"));
-            finished = true;
-            break;
-          }
-          if (std::chrono::steady_clock::now() > task.deadline) {
-            counters_.deadline_expired.inc();
-            task.steppable->abort(api::Status::DeadlineExceeded(
-                "deadline expired mid-run (between steps)"));
-            finished = true;
-            break;
-          }
-          if (!task.steppable->step()) {
-            task.steppable->finish();
-            finished = true;
-            break;
-          }
-          if (std::chrono::steady_clock::now() - started >= slice) break;
-        }
-      }
       const auto ended = std::chrono::steady_clock::now();
       // Per dispatch, not per request: a preempted run records one
       // service-time sample per slice (each slice occupied a worker
@@ -678,16 +652,16 @@ void Service::worker_loop(std::size_t worker_index) {
       const std::int64_t run_us = us_between(started, ended);
       service_time_us_.record_us(run_us);
       exclusive_service_time_us_.record_us(run_us);
-      obs::record_span(sliced ? "serve.slice" : "serve.exclusive", "serve",
+      obs::record_span(stepwise ? "serve.slice" : "serve.exclusive", "serve",
                        task.trace_id, started, ended);
       lock.lock();
       exclusive_claimed_ = false;
       if (!finished) {
         // Re-park at the FRONT: the preempted task stays ahead of every
         // younger exclusive, so exclusives still run FIFO and the shared
-        // context RNG is consumed in submission order — bit-identical
-        // results for any slice value. The wait clock restarts (each
-        // dispatch waited separately).
+        // context RNG is consumed in submission order — the slice decides
+        // when a run yields, never what it computes. The wait clock
+        // restarts (each dispatch waited separately).
         task.enqueued_at = ended;
         counters_.exclusive_preemptions.inc();
         exclusive_queue_.push_front(std::move(task));

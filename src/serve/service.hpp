@@ -14,12 +14,15 @@
 //     predictions) run one at a time, in submission order, with the pure
 //     traffic drained first — so a concurrent run's results are
 //     bit-identical to submitting the same requests serially.
-//   * With ServiceConfig::exclusive_slice_ms > 0, a long exclusive run
-//     (search / train_baseline) is PREEMPTIBLE: it advances one step (one
-//     generation / one epoch) at a time, and once a slice expires it is
-//     re-parked at the front of the exclusive queue so queued pure traffic
-//     interleaves — flat predict p99 under a long search — while results
-//     stay bit-identical to run-to-completion (see the config field).
+//   * A search or a baseline training always runs as a stepper (one
+//     generation / one epoch per step; Engine::begin_search /
+//     begin_train_baseline). Between steps the worker checks the request's
+//     cancel flag and deadline, and once ServiceConfig::exclusive_slice_ms
+//     has elapsed it re-parks the run at the front of the exclusive queue
+//     so queued pure traffic interleaves — flat predict p99 under a long
+//     search. One invariant: the slice decides when a run yields, never
+//     what it computes or whether it can be stopped (see the config
+//     field).
 //   * Queued PredictLatency requests against a "predictor" evaluator are
 //     coalesced: a worker drains up to ServiceConfig::max_predict_batch of
 //     them and answers with ONE Engine::predict_batch call, which is
@@ -32,9 +35,12 @@
 //     over-limit submissions resolve immediately to RESOURCE_EXHAUSTED
 //     instead of growing the queue without bound (back-pressure).
 //   * A request whose RequestOptions::deadline passes while it is still
-//     queued resolves to DEADLINE_EXCEEDED without running.
+//     queued resolves to DEADLINE_EXCEEDED without running; a search or
+//     training whose deadline passes mid-run resolves to it at the next
+//     step boundary.
 //   * A request whose RequestOptions::cancel flag is set before it starts
-//     resolves to CANCELLED without running.
+//     resolves to CANCELLED without running; a search or training resolves
+//     to it at the next step boundary when the flag is set mid-run.
 //   * ServiceConfig::predict_window_us makes a worker that picks up a
 //     lone coalescible PredictLatency wait up to the window for more to
 //     arrive before firing the batched forward, so remote trickle traffic
@@ -96,16 +102,16 @@ struct ServiceConfig {
   /// start/export. Empty (the default) = tracing off — every trace site
   /// is one relaxed atomic load.
   std::string trace_path{};
-  /// Exclusive-task time slice (milliseconds). 0 = run-to-completion (the
-  /// historical scheduler, bit-exactly). > 0: search / train_baseline run
-  /// stepwise (one generation / one epoch per step); once a slice expires
-  /// at a step boundary the task is re-parked at the FRONT of the
-  /// exclusive queue — exclusives stay FIFO and the shared-context RNG
-  /// stream is consumed in submission order, so results are bit-identical
-  /// to run-to-completion for ANY slice value — and queued pure work gets
-  /// a dispatch round before it resumes. Cancel and deadline are also
+  /// Exclusive-task time slice (milliseconds) for the stepped verbs
+  /// (search / train_baseline: one generation / one epoch per step). Once
+  /// a slice expires at a step boundary the task is re-parked at the FRONT
+  /// of the exclusive queue — exclusives stay FIFO and the shared-context
+  /// RNG stream is consumed in submission order — and queued pure work
+  /// gets a dispatch round before it resumes. 0 = an unbounded slice: the
+  /// run is never preempted. At every value cancel and deadline are
   /// checked between steps, so a mid-run cancel / expiry resolves within
-  /// one step instead of when the whole run ends.
+  /// one step. The slice decides when a run yields, never what it computes
+  /// or whether it can be stopped: results are bit-identical for ANY value.
   std::int64_t exclusive_slice_ms = 0;
 };
 
@@ -136,8 +142,9 @@ struct ServiceStats {
   std::int64_t queue_wait_p99_us = 0;
   std::int64_t service_time_p50_us = 0;
   std::int64_t service_time_p99_us = 0;
-  // Slice-scheduler counters (all 0 while exclusive_slice_ms == 0):
-  std::int64_t exclusive_slices = 0;       // sliced dispatches (first+resumed)
+  // Slice-scheduler counters (at exclusive_slice_ms == 0 every stepped run
+  // is one slice, never preempted or resumed):
+  std::int64_t exclusive_slices = 0;       // stepped dispatches (first+resumed)
   std::int64_t exclusive_preemptions = 0;  // re-parked at slice expiry
   std::int64_t exclusive_resumes = 0;      // dispatches of a preempted task
   // The same distributions split by request kind: pure covers predict /
@@ -249,19 +256,16 @@ class Service {
  private:
   Service() = default;
 
-  /// One admitted request parked on the pure or exclusive queue. `run`
-  /// resolves the promise with the verb's Result; `fail` resolves it with
-  /// an admission-side Status (expiry / cancellation) without running.
-  /// Both fire the request's notify hook.
+  /// One admitted request parked on the pure or exclusive queue. Exactly
+  /// one body is set: `run` resolves the promise with the verb's Result in
+  /// one call; `make_steppable` (search / train_baseline) builds the
+  /// stepwise run on first dispatch. `fail` resolves the promise with an
+  /// admission-side Status (expiry / cancellation) without running. All
+  /// fire the request's notify hook.
   struct QueuedTask {
     std::function<void(api::Engine&)> run;
-    std::function<void(const api::Status&)> fail;
-    /// Set for the sliceable exclusive verbs (search / train_baseline):
-    /// builds the stepwise form of `run` on first dispatch. Only consulted
-    /// when ServiceConfig::exclusive_slice_ms > 0 — with slicing off,
-    /// `run` executes monolithically, bit-exactly the historical
-    /// scheduler.
     std::function<std::unique_ptr<Steppable>(api::Engine&)> make_steppable;
+    std::function<void(const api::Status&)> fail;
     /// The in-flight stepwise run of a preempted task, carried across its
     /// re-park at the front of the exclusive queue.
     std::unique_ptr<Steppable> steppable;
@@ -274,9 +278,6 @@ class Service {
     std::uint64_t trace_id = 0;
   };
 
-  /// How enqueue() disposed of a submission.
-  enum class Admission { kAccepted, kShutDown, kQueueFull, kDraining };
-
   void start_workers(std::int64_t n);
   void worker_loop(std::size_t worker_index);
 
@@ -284,15 +285,18 @@ class Service {
   /// counters (incl. predict_requests when `count_predict`) atomically
   /// with admission. `count` is the number of logical requests the task
   /// carries (> 1 for a PredictBatchRequest, which still occupies one
-  /// queue slot). Non-accepted submissions bump rejected_requests / leave
-  /// the queue untouched; the caller resolves the future.
-  Admission enqueue(QueuedTask task, bool exclusive,
-                    bool count_predict = false, std::int64_t count = 1);
+  /// queue slot). Returns OK once admitted, else the refusal (shut down,
+  /// draining, queue full — the last bumps rejected_requests) with the
+  /// queue untouched; the caller resolves the future with it.
+  api::Status enqueue(QueuedTask task, bool exclusive,
+                      bool count_predict = false, std::int64_t count = 1);
 
-  /// The common submit shape: park `fn` on a queue, resolve its promise
-  /// with the Result it returns — or with FAILED_PRECONDITION /
-  /// RESOURCE_EXHAUSTED when the submission is not admitted. Defined in
-  /// service.cpp (instantiated for the facade report types only).
+  /// The common submit shape: park a task on a queue, resolve its promise
+  /// with the Result it produces — or with the admission refusal. Exactly
+  /// one body is given: `fn` runs whole; `make_run` (search /
+  /// train_baseline, pass a null `fn`) builds the stepwise run, which
+  /// resolves the same promise through the closure it is handed. Defined
+  /// in service.cpp (instantiated for the facade report types only).
   template <typename T>
   std::future<api::Result<T>> submit_task(
       std::function<api::Result<T>(api::Engine&)> fn, RequestOptions opts,
@@ -314,6 +318,14 @@ class Service {
                     std::vector<std::pair<QueuedTask, api::Status>>* failed,
                     QueuedTask* out, LatencyHistogram& kind_wait)
       HG_REQUIRES(queue_mutex_);
+
+  /// Advance a claimed stepwise task (building its run on first dispatch)
+  /// until it finishes, is cancelled, expires, or its slice — measured
+  /// from `started`, unbounded at exclusive_slice_ms == 0 — runs out at a
+  /// step boundary. True once the request is resolved; false when it must
+  /// be re-parked. Runs without the queue lock, under the exclusive claim.
+  bool run_slice(QueuedTask& task, api::Engine& engine,
+                 std::chrono::steady_clock::time_point started);
 
   /// True when every other worker is busy (with one worker, always): queued
   /// pure work then has nobody to run it but the caller.

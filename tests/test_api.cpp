@@ -67,6 +67,24 @@ TEST(Registry, UnknownNamesReturnNotFoundNotThrow) {
   Result<Engine> bad_strategy = Engine::create(cfg);
   ASSERT_FALSE(bad_strategy.ok());
   EXPECT_EQ(bad_strategy.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(bad_strategy.status().message().find("multistage"),
+            std::string::npos);
+}
+
+TEST(Registry, StrategyNameHasOneForm) {
+  // The built-ins register only their stepwise form, and a name is taken
+  // in either form: a monolithic fn cannot shadow a built-in, and the
+  // monolithic runner does not know one.
+  Registry& reg = Registry::global();
+  EXPECT_TRUE(reg.has_strategy("MultiStage"));
+  EXPECT_TRUE(reg.has_strategy_stepper("multistage"));
+  const Status shadow =
+      reg.register_strategy("MultiStage", [](const StrategyRequest&) {
+        return Result<hgnas::SearchResult>(hgnas::SearchResult{});
+      });
+  EXPECT_EQ(shadow.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reg.run_strategy("multistage", StrategyRequest{}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(Registry, DeviceAliasesResolve) {

@@ -614,44 +614,47 @@ TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
 }
 
 TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
-  // With generation slicing enabled on the server, a deadline is honored
-  // even after the search has STARTED: the worker checks it between
-  // steps and aborts the partially-advanced run. The client just sees a
-  // clean DEADLINE_EXCEEDED over the wire.
+  // A deadline is honored even after the search has STARTED: the worker
+  // checks it between steps and aborts the partially-advanced run — at
+  // slice 0 (never preempted) exactly as with a 1 ms slice. The client
+  // just sees a clean DEADLINE_EXCEEDED over the wire.
   const api::EngineConfig cfg = tiny_cfg();
-  ServerConfig server_cfg;
-  server_cfg.service.num_workers = 1;
-  server_cfg.service.exclusive_slice_ms = 1;
-  auto server = Server::create(cfg, server_cfg);
-  ASSERT_TRUE(server.ok()) << server.status().to_string();
-  auto client = Client::connect("127.0.0.1", server.value()->port());
-  ASSERT_TRUE(client.ok());
-  Client& remote = client.value();
+  for (const std::int64_t slice_ms : {0, 1}) {
+    SCOPED_TRACE("slice_ms=" + std::to_string(slice_ms));
+    ServerConfig server_cfg;
+    server_cfg.service.num_workers = 1;
+    server_cfg.service.exclusive_slice_ms = slice_ms;
+    auto server = Server::create(cfg, server_cfg);
+    ASSERT_TRUE(server.ok()) << server.status().to_string();
+    auto client = Client::connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(client.ok());
+    Client& remote = client.value();
 
-  // Per-request override: a search far too long for its 300 ms budget.
-  api::EngineConfig huge = cfg;
-  huge.iterations = 500;
-  auto search_id = remote.send_search(huge, /*deadline_us=*/300'000);
-  ASSERT_TRUE(search_id.ok());
-  // Confirm the search was actually dispatched (not expired while queued)
-  // before the deadline can fire.
-  bool started = false;
-  for (int i = 0; i < 2000 && !started; ++i) {
-    started = server.value()->service()->stats().exclusive_slices > 0;
-    std::this_thread::sleep_for(1ms);
+    // Per-request override: a search far too long for its 300 ms budget.
+    api::EngineConfig huge = cfg;
+    huge.iterations = 500;
+    auto search_id = remote.send_search(huge, /*deadline_us=*/300'000);
+    ASSERT_TRUE(search_id.ok());
+    // Confirm the search was actually dispatched (not expired while
+    // queued) before the deadline can fire.
+    bool started = false;
+    for (int i = 0; i < 2000 && !started; ++i) {
+      started = server.value()->service()->stats().exclusive_slices > 0;
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_TRUE(started) << "search never started stepping";
+
+    api::Result<api::SearchReport> r = remote.wait_search(search_id.value());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
+    EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
+
+    // The worker is free again and the server keeps serving.
+    const std::vector<api::Arch> archs = sample_archs(cfg, 1);
+    auto fine_id = remote.send_profile(archs[0]);
+    ASSERT_TRUE(fine_id.ok());
+    EXPECT_TRUE(remote.wait_profile(fine_id.value()).ok());
   }
-  ASSERT_TRUE(started) << "search never started slicing";
-
-  api::Result<api::SearchReport> r = remote.wait_search(search_id.value());
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-  EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
-
-  // The worker is free again and the server keeps serving.
-  const std::vector<api::Arch> archs = sample_archs(cfg, 1);
-  auto fine_id = remote.send_profile(archs[0]);
-  ASSERT_TRUE(fine_id.ok());
-  EXPECT_TRUE(remote.wait_profile(fine_id.value()).ok());
 }
 
 TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
@@ -724,7 +727,9 @@ TEST(NetServer, DisconnectCancelsThatConnectionsQueuedRequests) {
   api::Result<api::ProfileReport> after =
       fresh.value().profile(archs[0]);
   EXPECT_TRUE(after.ok()) << after.status().to_string();
-  EXPECT_GE(server.value()->service()->stats().cancelled_requests, 4);
+  // The four queued profiles and the running search: a stepped run is
+  // cancelled between steps at every slice value, 0 included.
+  EXPECT_GE(server.value()->service()->stats().cancelled_requests, 5);
 }
 
 TEST(NetServer, PredictWindowCoalescesRemoteTrickleTraffic) {
@@ -1014,14 +1019,17 @@ TEST(NetBatchFrame, OversizedBatchRefusedPerElementWithoutRunning) {
   EXPECT_TRUE(sane.ok()) << sane.status().to_string();
 }
 
-TEST(NetBatchFrame, LegacyPredictBatchFrameStillServed) {
-  // An old client speaking the original per-element kPredictBatch frame
-  // gets the same answers as the new single-unit path — the server keeps
-  // both verbs.
+TEST(NetBatchFrame, RetiredPredictBatchFrameAnsweredInvalidArgument) {
+  // Frame type 3 (the per-element fan-out) is retired: the server answers
+  // it with a typed INVALID_ARGUMENT under the same id and submits
+  // nothing. The connection lives — the same archs sent as kPredictBatchN
+  // right after are answered byte-equal to a local predict_batch.
   const api::EngineConfig cfg = tiny_cfg();
   const std::vector<api::Arch> archs = sample_archs(cfg, 4);
   auto server = Server::create(cfg);
   ASSERT_TRUE(server.ok()) << server.status().to_string();
+  serve::Service& service = *server.value()->service();
+  const obs::Snapshot before = service.metrics_snapshot();
 
   Writer w;
   encode_predict_batch_request(archs, &w);
@@ -1036,20 +1044,27 @@ TEST(NetBatchFrame, LegacyPredictBatchFrameStillServed) {
   EXPECT_EQ(reply.type, static_cast<std::uint16_t>(FrameType::kPredictBatch) |
                             kReplyBit);
   Reader r(payload);
-  std::vector<api::Result<api::LatencyReport>> elements;
-  ASSERT_TRUE(decode_predict_batch_reply(&r, &elements));
-  ASSERT_EQ(elements.size(), archs.size());
+  api::Status status;
+  ASSERT_TRUE(decode_status(&r, &status));
+  EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(r.exhausted());
+  const obs::Snapshot after = service.metrics_snapshot();
+  EXPECT_EQ(after.at("serve.requests"), before.at("serve.requests"));
+  EXPECT_EQ(after.at("net.frames_rejected"),
+            before.at("net.frames_rejected") + 1);
 
+  conn.send_bytes(encode_frame(FrameType::kPredictBatchN, /*reply=*/false,
+                               /*id=*/22, 0, w.bytes()));
+  ASSERT_TRUE(read_reply_frame(conn.fd(), &reply, &payload));
+  EXPECT_EQ(reply.request_id, 22u);
   auto engine = api::Engine::create(cfg);
   ASSERT_TRUE(engine.ok());
   api::Result<std::vector<api::LatencyReport>> local =
       engine.value().predict_batch(archs);
   ASSERT_TRUE(local.ok());
-  for (std::size_t i = 0; i < archs.size(); ++i) {
-    ASSERT_TRUE(elements[i].ok()) << elements[i].status().to_string();
-    EXPECT_DOUBLE_EQ(elements[i].value().latency_ms,
-                     local.value()[i].latency_ms);
-  }
+  const std::vector<api::Result<api::LatencyReport>> expected(
+      local.value().begin(), local.value().end());
+  EXPECT_EQ(payload, encode_predict_batch_reply(expected));
 }
 
 TEST(NetBatchFrameFuzz, CorruptBatchFramesNeverCrashTheServer) {

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 
 namespace hg::serve {
@@ -496,7 +497,8 @@ bool wait_for_first_slice(Service& service) {
 TEST(ServeSlice, SlicedRunBitIdenticalToRunToCompletion) {
   // The tentpole guarantee: enabling the slice changes WHEN work runs,
   // never WHAT it computes. The same mixed script through a sliced
-  // service must reproduce the run-to-completion results bit-for-bit —
+  // service must reproduce the slice-0 (never preempted) results
+  // bit-for-bit —
   // searches and trained baselines included, because the preempted run
   // resumes ahead of every younger exclusive and the shared-context RNG
   // stream replays in submission order.
@@ -598,82 +600,137 @@ TEST(ServeSlice, PreemptedSearchIsResumedAndStillCorrect) {
 }
 
 TEST(ServeSlice, MidRunCancelResolvesBetweenSteps) {
-  api::EngineConfig cfg = tiny_cfg();
-  cfg.iterations = 500;  // minutes of work if never interrupted
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
-  ASSERT_NE(service, nullptr);
+  // The slice decides when a run yields, never whether it can be stopped:
+  // slice 0 (unbounded) honors a mid-run cancel exactly like slice 1.
+  for (const std::int64_t slice_ms : {0, 1}) {
+    SCOPED_TRACE("slice_ms=" + std::to_string(slice_ms));
+    api::EngineConfig cfg = tiny_cfg();
+    cfg.iterations = 500;  // minutes of work if never interrupted
+    auto service = make_sliced_service(cfg, 1, slice_ms);
+    ASSERT_NE(service, nullptr);
 
-  SearchRequest req;
-  req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  auto cancel = req.opts.cancel;
-  auto search = service->submit(std::move(req));
-  ASSERT_TRUE(wait_for_first_slice(*service));
-  cancel->store(true);
+    SearchRequest req;
+    req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+    auto cancel = req.opts.cancel;
+    auto search = service->submit(std::move(req));
+    ASSERT_TRUE(wait_for_first_slice(*service));
+    cancel->store(true);
 
-  // Without mid-run checks this would block for the whole 500-iteration
-  // run; between-step cancellation resolves within a few generations.
-  api::Result<api::SearchReport> r = search.get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
-  EXPECT_GE(service->stats().cancelled_requests, 1);
+    // Without mid-run checks this would block for the whole 500-iteration
+    // run; between-step cancellation resolves within a few generations.
+    api::Result<api::SearchReport> r = search.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+    EXPECT_GE(service->stats().cancelled_requests, 1);
 
-  // The worker is free again: the service keeps serving.
-  auto probe = api::Engine::create(cfg);
-  ASSERT_TRUE(probe.ok());
-  EXPECT_TRUE(
-      service->submit(PredictLatencyRequest{probe.value().sample_arch()})
-          .get()
-          .ok());
-  service->shutdown();
+    // The worker is free again: the service keeps serving.
+    auto probe = api::Engine::create(cfg);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_TRUE(
+        service->submit(PredictLatencyRequest{probe.value().sample_arch()})
+            .get()
+            .ok());
+    service->shutdown();
+  }
 }
 
 TEST(ServeSlice, MidRunDeadlineResolvesBetweenSteps) {
-  api::EngineConfig cfg = tiny_cfg();
-  cfg.iterations = 500;
-  auto service = make_sliced_service(cfg, 1, /*slice_ms=*/1);
-  ASSERT_NE(service, nullptr);
+  for (const std::int64_t slice_ms : {0, 1}) {
+    SCOPED_TRACE("slice_ms=" + std::to_string(slice_ms));
+    api::EngineConfig cfg = tiny_cfg();
+    cfg.iterations = 500;
+    auto service = make_sliced_service(cfg, 1, slice_ms);
+    ASSERT_NE(service, nullptr);
 
-  SearchRequest req;
-  req.opts.deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  auto search = service->submit(std::move(req));
-  ASSERT_TRUE(wait_for_first_slice(*service));
+    SearchRequest req;
+    req.opts.deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    auto search = service->submit(std::move(req));
+    ASSERT_TRUE(wait_for_first_slice(*service));
 
-  api::Result<api::SearchReport> r = search.get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-  EXPECT_GE(service->stats().deadline_expired, 1);
-  service->shutdown();
+    api::Result<api::SearchReport> r = search.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
+    EXPECT_GE(service->stats().deadline_expired, 1);
+    service->shutdown();
+  }
 }
 
-TEST(ServeSlice, SliceZeroKeepsLegacySchedulerExactly) {
-  // slice = 0 must not even construct the stepwise form: counters stay 0
-  // and a running search is never interrupted by cancel (queue-time-only
-  // semantics, as documented).
-  const api::EngineConfig cfg = tiny_cfg();
+TEST(ServeSlice, SliceZeroIsAnUnboundedSlice) {
+  // Slice 0 is not a different scheduler: the search still steps (one
+  // dispatch, so exactly one slice), it is simply never preempted — a
+  // probe queued behind it waits out the whole run — and a mid-run cancel
+  // still resolves between steps.
+  api::EngineConfig cfg = tiny_cfg();
+  auto sampler = api::Engine::create(cfg);
+  ASSERT_TRUE(sampler.ok());
+  const api::Arch arch = sampler.value().sample_arch();
   auto service = make_sliced_service(cfg, 1, /*slice_ms=*/0);
   ASSERT_NE(service, nullptr);
 
-  SearchRequest req;
-  req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
-  auto cancel = req.opts.cancel;
-  auto search = service->submit(std::move(req));
-  // Give the worker a moment to claim, then cancel mid-run: the legacy
-  // path must IGNORE it and finish the search.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cancel->store(true);
-  api::Result<api::SearchReport> r = search.get();
-  const ServiceStats stats = service->stats();
-  service->shutdown();
-
-  EXPECT_EQ(stats.exclusive_slices, 0);
+  auto search = service->submit(SearchRequest{});
+  ASSERT_TRUE(wait_for_first_slice(*service));
+  auto probe = service->submit(PredictLatencyRequest{arch});
+  ASSERT_TRUE(probe.get().ok());
+  // The lone worker answered the probe only after the search resolved.
+  EXPECT_EQ(search.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  ASSERT_TRUE(search.get().ok());
+  ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.exclusive_slices, 1);
   EXPECT_EQ(stats.exclusive_preemptions, 0);
   EXPECT_EQ(stats.exclusive_resumes, 0);
-  // Either the cancel won the race while the task was still queued (the
-  // legacy queue-side check) or the search ran to completion; it was
-  // never aborted mid-run.
-  if (!r.ok()) {
-    EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+
+  // A long run cancelled mid-run resolves CANCELLED at the next step.
+  api::EngineConfig huge = cfg;
+  huge.iterations = 500;
+  SearchRequest req{huge};
+  req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+  auto cancel = req.opts.cancel;
+  auto doomed = service->submit(std::move(req));
+  for (int i = 0; i < 2000 && service->stats().exclusive_slices < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(service->stats().exclusive_slices, 2);
+  cancel->store(true);
+  api::Result<api::SearchReport> r = doomed.get();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
+  stats = service->stats();
+  service->shutdown();
+  EXPECT_EQ(stats.cancelled_requests, 1);
+  EXPECT_EQ(stats.exclusive_preemptions, 0);
+  EXPECT_EQ(stats.exclusive_resumes, 0);
+}
+
+TEST(ServeSlice, EngineVerbCountersCountEachRunOnce) {
+  // engine.searches / engine.train_baselines count one per request,
+  // whichever way the run is driven: straight through by the Engine verb,
+  // or stepped by a service at slice 0 or 1.
+  obs::Counter& searches = obs::Registry::global().counter("engine.searches");
+  obs::Counter& trains =
+      obs::Registry::global().counter("engine.train_baselines");
+  const api::EngineConfig cfg = tiny_cfg();
+
+  auto engine = api::Engine::create(cfg);
+  ASSERT_TRUE(engine.ok());
+  std::int64_t s0 = searches.value();
+  ASSERT_TRUE(engine.value().search().ok());
+  EXPECT_EQ(searches.value() - s0, 1);
+  std::int64_t t0 = trains.value();
+  ASSERT_TRUE(engine.value().train_baseline("tailor").ok());
+  EXPECT_EQ(trains.value() - t0, 1);
+
+  for (const std::int64_t slice_ms : {0, 1}) {
+    SCOPED_TRACE("slice_ms=" + std::to_string(slice_ms));
+    auto service = make_sliced_service(cfg, 1, slice_ms);
+    ASSERT_NE(service, nullptr);
+    s0 = searches.value();
+    t0 = trains.value();
+    ASSERT_TRUE(service->submit(SearchRequest{}).get().ok());
+    ASSERT_TRUE(service->submit(TrainBaselineRequest{"tailor"}).get().ok());
+    service->shutdown();
+    EXPECT_EQ(searches.value() - s0, 1);
+    EXPECT_EQ(trains.value() - t0, 1);
   }
 }
 
