@@ -173,7 +173,12 @@ struct Server::Impl {
     bool answered_in_drain = false;
   };
 
-  serve::Service* service = nullptr;
+  Impl(serve::Service& owned, ServerConfig server_cfg)
+      : service(&owned),
+        cfg(std::move(server_cfg)),
+        counters{owned.registry()} {}
+
+  serve::Service* service;
   ServerConfig cfg;
   int listen_fd = -1;
   int wake_read = -1;
@@ -187,34 +192,31 @@ struct Server::Impl {
       std::chrono::steady_clock::now();
   core::Mutex stop_mutex;  // serializes concurrent Server::stop() callers
 
-  // The "net.*" counters live in the owned service's registry (so one
-  // kStats snapshot tells the whole story); handles are resolved once in
-  // init_counters and bumped lock-free from the poll thread, read from
-  // any thread via Server::net_stats().
-  struct NetCounters {
-    obs::Counter* connections_opened = nullptr;
-    obs::Counter* connections_closed = nullptr;
-    obs::Counter* connections_refused = nullptr;
-    obs::Counter* frames_received = nullptr;
-    obs::Counter* frames_rejected = nullptr;
-    obs::Counter* connections_dropped = nullptr;
-    obs::Counter* replies_sent = nullptr;
-    obs::Counter* oversized_replies = nullptr;
-    obs::Counter* version_mismatches = nullptr;
+  // The counters this front end bumps live in the owned service's
+  // registry, so one kStats snapshot (Service::metrics_snapshot) tells
+  // the whole story. Handles are resolved once at construction and bumped
+  // lock-free from the poll thread. The two serve.* ones count what only
+  // the wire does: answer pings and attach retry_after_us hints.
+  struct Counters {
+    obs::Registry& r;
+    obs::Counter& connections_opened = r.counter("net.connections_opened");
+    obs::Counter& connections_closed = r.counter("net.connections_closed");
+    // Over max_connections, refused at accept time.
+    obs::Counter& connections_refused = r.counter("net.connections_refused");
+    obs::Counter& frames_received = r.counter("net.frames_received");
+    // Answered INVALID_ARGUMENT (malformed or unknown frames).
+    obs::Counter& frames_rejected = r.counter("net.frames_rejected");
+    // Unframeable input: bad magic or oversized length.
+    obs::Counter& connections_dropped = r.counter("net.connections_dropped");
+    obs::Counter& replies_sent = r.counter("net.replies_sent");
+    // Reply bodies over kMaxPayloadBytes, answered RESOURCE_EXHAUSTED.
+    obs::Counter& oversized_replies = r.counter("net.oversized_replies");
+    // Peers speaking another protocol version, sent one farewell.
+    obs::Counter& version_mismatches = r.counter("net.version_mismatches");
+    obs::Counter& pings = r.counter("serve.pings");
+    obs::Counter& sheds_with_hint = r.counter("serve.sheds_with_hint");
   };
-  NetCounters nc;
-
-  void init_counters(obs::Registry& r) {
-    nc.connections_opened = &r.counter("net.connections_opened");
-    nc.connections_closed = &r.counter("net.connections_closed");
-    nc.connections_refused = &r.counter("net.connections_refused");
-    nc.frames_received = &r.counter("net.frames_received");
-    nc.frames_rejected = &r.counter("net.frames_rejected");
-    nc.connections_dropped = &r.counter("net.connections_dropped");
-    nc.replies_sent = &r.counter("net.replies_sent");
-    nc.oversized_replies = &r.counter("net.oversized_replies");
-    nc.version_mismatches = &r.counter("net.version_mismatches");
-  }
+  Counters counters;
 
   // The connection table (fds, buffered frames, reply buffers, pending
   // futures) is owned by the poll thread alone after start: run() is the
@@ -337,7 +339,7 @@ struct Server::Impl {
       if (fd < 0) return;  // EAGAIN or transient error: try next round
       if (static_cast<std::int64_t>(conns.size()) >= cfg.max_connections) {
         ::close(fd);
-        nc.connections_refused->inc();
+        counters.connections_refused.inc();
         continue;
       }
       set_nonblocking(fd);
@@ -349,7 +351,7 @@ struct Server::Impl {
         c.transport = cfg.wrap_transport(std::move(c.transport));
       c.cancel = std::make_shared<std::atomic<bool>>(false);
       conns.emplace(fd, std::move(c));
-      nc.connections_opened->inc();
+      counters.connections_opened.inc();
     }
   }
 
@@ -418,7 +420,7 @@ struct Server::Impl {
         // with one FAILED_PRECONDITION farewell framed in ITS version
         // (best-effort flush below), then drop — the rest of its stream
         // cannot be parsed.
-        nc.version_mismatches->inc();
+        counters.version_mismatches.inc();
         c.out.append(encode_version_farewell(h));
         (void)flush(c);
         return false;
@@ -426,7 +428,7 @@ struct Server::Impl {
       if (hd != HeaderDecode::kOk) {
         // Bad magic / oversized length: byte-stream framing is lost,
         // nothing downstream can be trusted. Drop the connection.
-        nc.connections_dropped->inc();
+        counters.connections_dropped.inc();
         return false;
       }
       if (c.in.size() - consumed < kHeaderSize + h.payload_len) break;
@@ -446,7 +448,7 @@ struct Server::Impl {
     Writer w;
     encode_status(status, &w);
     send_reply(c, type, id, w.take());
-    nc.frames_rejected->inc();
+    counters.frames_rejected.inc();
   }
 
   /// A refused-before-running reply (drain-time UNAVAILABLE): carries the
@@ -457,7 +459,7 @@ struct Server::Impl {
     Writer w;
     encode_status(status, &w, cfg.shed_retry_after_us);
     send_reply(c, type, id, w.take());
-    if (cfg.shed_retry_after_us > 0) service->record_shed_hint();
+    if (cfg.shed_retry_after_us > 0) counters.sheds_with_hint.inc();
   }
 
   void send_reply(Conn& c, FrameType type, std::uint64_t id,
@@ -474,10 +476,10 @@ struct Server::Impl {
               " bytes) exceeds the wire limit"),
           &w);
       payload = w.take();
-      nc.oversized_replies->inc();
+      counters.oversized_replies.inc();
     }
     c.out.append(encode_frame(type, /*reply=*/true, id, 0, payload));
-    nc.replies_sent->inc();
+    counters.replies_sent.inc();
     if (draining.load(std::memory_order_acquire)) c.answered_in_drain = true;
   }
 
@@ -493,7 +495,7 @@ struct Server::Impl {
                       "unknown frame type " + std::to_string(h.type)));
       return;
     }
-    nc.frames_received->inc();
+    counters.frames_received.inc();
     if (type == FrameType::kGoodbye) {
       if (len != 0) {
         reply_error(c, type, h.request_id,
@@ -514,16 +516,16 @@ struct Server::Impl {
       // Answered right here on the I/O thread — a ping must come back
       // even when every worker is wedged, which is exactly when callers
       // need the report.
-      service->record_ping();
-      const serve::ServiceStats s = service->stats();
+      counters.pings.inc();
+      const std::int64_t depth = service->queue_depth();
       HealthReport rep;
       rep.state = draining.load(std::memory_order_acquire)
                       ? HealthState::kDraining
                       : (cfg.service.max_queue_depth > 0 &&
-                                 s.queue_depth >= cfg.service.max_queue_depth
+                                 depth >= cfg.service.max_queue_depth
                              ? HealthState::kOverloaded
                              : HealthState::kAccepting);
-      rep.queue_depth = s.queue_depth;
+      rep.queue_depth = depth;
       rep.workers = cfg.service.num_workers;
       rep.uptime_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -751,7 +753,7 @@ struct Server::Impl {
     const auto note_shed = [this, hint](const api::Status& status) {
       if (hint > 0 &&
           status.code() == api::StatusCode::kResourceExhausted)
-        service->record_shed_hint();
+        counters.sheds_with_hint.inc();
     };
     return std::visit(
         [&](auto& future) {
@@ -805,7 +807,7 @@ struct Server::Impl {
     // resolutions are harmless. The transport closes the fd.
     it->second.cancel->store(true, std::memory_order_relaxed);
     conns.erase(it);
-    nc.connections_closed->inc();
+    counters.connections_closed.inc();
   }
 
   void shutdown_io() {
@@ -850,10 +852,7 @@ api::Result<std::shared_ptr<Server>> Server::create(
 
   std::shared_ptr<Server> server(new Server());
   server->service_ = std::move(service).value();
-  server->impl_ = std::make_unique<Impl>();
-  server->impl_->service = server->service_.get();
-  server->impl_->init_counters(server->service_->registry());
-  server->impl_->cfg = server_cfg;
+  server->impl_ = std::make_unique<Impl>(*server->service_, server_cfg);
   api::Status listening = server->impl_->listen_on(
       server_cfg.host, server_cfg.port, &server->port_);
   if (!listening.ok()) return listening;
@@ -889,23 +888,6 @@ void Server::drain() {
 bool Server::draining() const {
   return impl_ != nullptr &&
          impl_->draining.load(std::memory_order_acquire);
-}
-
-NetStats Server::net_stats() const {
-  // A thin view over the registry instruments (the same ones kStats
-  // serves), so this struct and the remote snapshot can never drift.
-  if (impl_ == nullptr) return {};
-  NetStats s;
-  s.connections_opened = impl_->nc.connections_opened->value();
-  s.connections_closed = impl_->nc.connections_closed->value();
-  s.connections_refused = impl_->nc.connections_refused->value();
-  s.frames_received = impl_->nc.frames_received->value();
-  s.frames_rejected = impl_->nc.frames_rejected->value();
-  s.connections_dropped = impl_->nc.connections_dropped->value();
-  s.replies_sent = impl_->nc.replies_sent->value();
-  s.oversized_replies = impl_->nc.oversized_replies->value();
-  s.version_mismatches = impl_->nc.version_mismatches->value();
-  return s;
 }
 
 }  // namespace hg::net

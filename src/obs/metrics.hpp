@@ -13,10 +13,10 @@
 //   * One stable snapshot shape. Registry::snapshot() flattens every
 //     instrument into a name -> int64 map (histograms expand to
 //     `<name>.p50_us` / `.p99_us` / `.count`), which is what the wire's
-//     kStats frame carries and what render_snapshot() pretty-prints —
-//     serve::ServiceStats and net::NetStats are thin views over the same
-//     instruments, so the remote snapshot and the local structs can never
-//     drift.
+//     kStats frame carries and what render_snapshot() pretty-prints. It
+//     is the only way to read a serve or net number, in process
+//     (serve::Service::metrics_snapshot) or remotely (kStats), so the two
+//     reads can never drift.
 //
 // Naming scheme: `<layer>.<counter>` with lowercase snake_case leaves —
 // "serve.requests", "net.frames_received", "engine.searches",

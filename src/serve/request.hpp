@@ -98,8 +98,10 @@ struct PredictLatencyRequest {
 /// fails alone (the service falls back to lone queries when the batched
 /// call rejects the batch), so every answer is bit-identical to an
 /// uncoalesced submission. This is what the wire's multi-predict frame
-/// (net::FrameType::kPredictBatchN) lands on. Stats count the batch as
-/// archs.size() predict requests but one queue slot.
+/// (net::FrameType::kPredictBatchN) lands on. It occupies one queue slot
+/// but counts as archs.size() requests in every admission counter
+/// (serve.requests, serve.predict_requests, serve.rejected_requests, and
+/// serve.exclusive_requests when it runs exclusive).
 struct PredictBatchRequest {
   std::vector<api::Arch> archs;
   RequestOptions opts{};

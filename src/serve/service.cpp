@@ -182,12 +182,28 @@ bool Service::draining() const {
   return draining_;
 }
 
-void Service::record_ping() {
-  counters_.pings.inc();
+std::int64_t Service::queued() const {
+  return static_cast<std::int64_t>(pure_queue_.size() +
+                                   exclusive_queue_.size() +
+                                   predict_queue_.size());
 }
 
-void Service::record_shed_hint() {
-  counters_.sheds_with_hint.inc();
+std::int64_t Service::queue_depth() const {
+  core::MutexLock lock(queue_mutex_);
+  return queued();
+}
+
+api::Status Service::admit(std::int64_t count, bool count_predict) {
+  if (stopping_) return shut_down_status();
+  if (draining_) return draining_status();
+  counters_.requests.inc(count);
+  if (count_predict) counters_.predict_requests.inc(count);
+  if (service_cfg_.max_queue_depth > 0 &&
+      queued() >= service_cfg_.max_queue_depth) {
+    counters_.rejected_requests.inc(count);
+    return queue_full_status();
+  }
+  return api::Status::Ok();
 }
 
 api::Status Service::enqueue(QueuedTask task, bool exclusive,
@@ -195,22 +211,10 @@ api::Status Service::enqueue(QueuedTask task, bool exclusive,
   bool wake_window = false;
   {
     core::MutexLock lock(queue_mutex_);
-    if (stopping_) return shut_down_status();
-    if (draining_) return draining_status();
-    counters_.requests.inc(count);
-    if (count_predict)
-      counters_.predict_requests.inc(count);
-    const std::int64_t depth =
-        static_cast<std::int64_t>(pure_queue_.size() +
-                                  exclusive_queue_.size() +
-                                  predict_queue_.size());
-    if (service_cfg_.max_queue_depth > 0 &&
-        depth >= service_cfg_.max_queue_depth) {
-      counters_.rejected_requests.inc(count);
-      return queue_full_status();
-    }
+    if (api::Status refused = admit(count, count_predict); !refused.ok())
+      return refused;
     if (exclusive) {
-      counters_.exclusive_requests.inc();
+      counters_.exclusive_requests.inc(count);
       exclusive_queue_.push_back(std::move(task));
     } else {
       pure_queue_.push_back(std::move(task));
@@ -323,25 +327,10 @@ std::future<api::Result<api::LatencyReport>> Service::submit(
   bool wake_window = false;
   {
     core::MutexLock lock(queue_mutex_);
-    if (stopping_) {
-      refused = shut_down_status();
-    } else if (draining_) {
-      refused = draining_status();
-    } else {
-      counters_.requests.inc();
-      counters_.predict_requests.inc();
-      const std::int64_t depth =
-          static_cast<std::int64_t>(pure_queue_.size() +
-                                    exclusive_queue_.size() +
-                                    predict_queue_.size());
-      if (service_cfg_.max_queue_depth > 0 &&
-          depth >= service_cfg_.max_queue_depth) {
-        counters_.rejected_requests.inc();
-        refused = queue_full_status();
-      } else {
-        predict_queue_.push_back(std::move(task));
-        wake_window = predict_window_waiter_;
-      }
+    refused = admit(1, /*count_predict=*/true);
+    if (refused.ok()) {
+      predict_queue_.push_back(std::move(task));
+      wake_window = predict_window_waiter_;
     }
   }
   if (!refused.ok()) {
@@ -382,21 +371,7 @@ std::future<std::vector<api::Result<api::LatencyReport>>> Service::submit(
   task.trace_id = effective_trace_id(req.opts.trace_id);
   task.run = [this, archs = std::move(req.archs),
               resolve](api::Engine& engine) {
-    counters_.predict_batches.inc();
-    counters_.max_predict_batch.max_of(static_cast<std::int64_t>(archs.size()));
-    BatchResults results;
-    results.reserve(archs.size());
-    api::Result<std::vector<api::LatencyReport>> reports =
-        engine.predict_batch(archs);
-    if (reports.ok()) {
-      for (const api::LatencyReport& r : reports.value()) results.push_back(r);
-    } else {
-      // Same fallback as the coalescing worker: one bad element must not
-      // poison its batchmates, and every answer must equal what a lone
-      // submission would have produced.
-      for (const api::Arch& a : archs) results.push_back(engine.predict_latency(a));
-    }
-    resolve(std::move(results));
+    resolve(predict_with_fallback(engine, archs));
   };
   task.fail = [n, resolve](const api::Status& status) {
     resolve(BatchResults(n, api::Result<api::LatencyReport>(status)));
@@ -448,62 +423,30 @@ std::future<api::Result<api::TrainReport>> Service::submit(
       });
 }
 
-ServiceStats Service::stats() const {
-  // A thin view over the registered instruments: every field is read from
-  // the same counter/histogram the hot paths bump, so this struct, the
-  // full metrics_snapshot(), and the wire's kStats answer can never
-  // disagree.
-  ServiceStats snapshot;
-  snapshot.requests = counters_.requests.value();
-  snapshot.exclusive_requests = counters_.exclusive_requests.value();
-  snapshot.predict_requests = counters_.predict_requests.value();
-  snapshot.predict_batches = counters_.predict_batches.value();
-  snapshot.max_predict_batch = counters_.max_predict_batch.value();
-  snapshot.rejected_requests = counters_.rejected_requests.value();
-  snapshot.deadline_expired = counters_.deadline_expired.value();
-  snapshot.cancelled_requests = counters_.cancelled_requests.value();
-  snapshot.pings = counters_.pings.value();
-  snapshot.sheds_with_hint = counters_.sheds_with_hint.value();
-  snapshot.drain_started = counters_.drain_started.value();
-  snapshot.exclusive_slices = counters_.exclusive_slices.value();
-  snapshot.exclusive_preemptions = counters_.exclusive_preemptions.value();
-  snapshot.exclusive_resumes = counters_.exclusive_resumes.value();
-  snapshot.queue_wait_p50_us = queue_wait_us_.percentile_us(0.50);
-  snapshot.queue_wait_p99_us = queue_wait_us_.percentile_us(0.99);
-  snapshot.service_time_p50_us = service_time_us_.percentile_us(0.50);
-  snapshot.service_time_p99_us = service_time_us_.percentile_us(0.99);
-  snapshot.pure_queue_wait_p50_us = pure_queue_wait_us_.percentile_us(0.50);
-  snapshot.pure_queue_wait_p99_us = pure_queue_wait_us_.percentile_us(0.99);
-  snapshot.pure_service_time_p50_us =
-      pure_service_time_us_.percentile_us(0.50);
-  snapshot.pure_service_time_p99_us =
-      pure_service_time_us_.percentile_us(0.99);
-  snapshot.exclusive_queue_wait_p50_us =
-      exclusive_queue_wait_us_.percentile_us(0.50);
-  snapshot.exclusive_queue_wait_p99_us =
-      exclusive_queue_wait_us_.percentile_us(0.99);
-  snapshot.exclusive_service_time_p50_us =
-      exclusive_service_time_us_.percentile_us(0.50);
-  snapshot.exclusive_service_time_p99_us =
-      exclusive_service_time_us_.percentile_us(0.99);
-  core::MutexLock lock(queue_mutex_);
-  snapshot.queue_depth =
-      static_cast<std::int64_t>(pure_queue_.size() +
-                                exclusive_queue_.size() +
-                                predict_queue_.size());
-  return snapshot;
-}
-
 obs::Snapshot Service::metrics_snapshot() const {
   obs::Snapshot snap = registry_->snapshot();
   // queue_depth is the one live (non-monotone, non-instrument) value: it
   // is derived from the queue sizes, so inject it here.
-  core::MutexLock lock(queue_mutex_);
-  snap["serve.queue_depth"] =
-      static_cast<std::int64_t>(pure_queue_.size() +
-                                exclusive_queue_.size() +
-                                predict_queue_.size());
+  snap["serve.queue_depth"] = queue_depth();
   return snap;
+}
+
+std::vector<api::Result<api::LatencyReport>> Service::predict_with_fallback(
+    api::Engine& engine, const std::vector<api::Arch>& archs) {
+  counters_.predict_batches.inc();
+  counters_.max_predict_batch.max_of(static_cast<std::int64_t>(archs.size()));
+  std::vector<api::Result<api::LatencyReport>> results;
+  results.reserve(archs.size());
+  api::Result<std::vector<api::LatencyReport>> reports =
+      engine.predict_batch(archs);
+  if (reports.ok()) {
+    for (api::LatencyReport& r : reports.value())
+      results.emplace_back(std::move(r));
+  } else {
+    for (const api::Arch& a : archs)
+      results.push_back(engine.predict_latency(a));
+  }
+  return results;
 }
 
 bool Service::pop_runnable(
@@ -745,11 +688,7 @@ void Service::worker_loop(std::size_t worker_index) {
             batch.push_back(std::move(t));
           }
         }
-        if (!batch.empty()) {
-          counters_.predict_batches.inc();
-          counters_.max_predict_batch.max_of(static_cast<std::int64_t>(batch.size()));
-          ++pure_active_;
-        }
+        if (!batch.empty()) ++pure_active_;
         lock.unlock();
         for (auto& [t, status] : refused) {
           t.promise->set_value(status);
@@ -760,22 +699,11 @@ void Service::worker_loop(std::size_t worker_index) {
           archs.reserve(batch.size());
           for (const PredictTask& t : batch) archs.push_back(t.arch);
           const auto started = std::chrono::steady_clock::now();
-          api::Result<std::vector<api::LatencyReport>> reports =
-              engine.predict_batch(archs);
-          if (reports.ok()) {
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-              batch[i].promise->set_value(reports.value()[i]);
-              if (batch[i].opts.notify) batch[i].opts.notify();
-            }
-          } else {
-            // One bad request (an invalid genome fails the whole batched
-            // call) must not poison its batchmates: fall back to lone
-            // queries so every request gets exactly the answer an
-            // uncoalesced submission would have produced.
-            for (PredictTask& t : batch) {
-              t.promise->set_value(engine.predict_latency(t.arch));
-              if (t.opts.notify) t.opts.notify();
-            }
+          std::vector<api::Result<api::LatencyReport>> results =
+              predict_with_fallback(engine, archs);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch[i].promise->set_value(std::move(results[i]));
+            if (batch[i].opts.notify) batch[i].opts.notify();
           }
           const auto ended = std::chrono::steady_clock::now();
           const std::int64_t run_us = us_between(started, ended);

@@ -115,53 +115,6 @@ struct ServiceConfig {
   std::int64_t exclusive_slice_ms = 0;
 };
 
-/// Cumulative counters (monotone except queue_depth; snapshot via
-/// Service::stats()). This struct is a THIN VIEW over the service's
-/// obs::Registry instruments — stats() reads the registered counters and
-/// histograms, so this local struct and the wire's kStats snapshot
-/// (Service::metrics_snapshot) can never drift.
-struct ServiceStats {
-  std::int64_t requests = 0;            // everything submitted
-  std::int64_t exclusive_requests = 0;  // ran on the exclusive FIFO path
-  std::int64_t predict_requests = 0;    // PredictLatency submissions
-  std::int64_t predict_batches = 0;     // batched forwards actually run
-  std::int64_t max_predict_batch = 0;   // largest coalesced batch seen
-  std::int64_t queue_depth = 0;         // live: admitted, not yet started
-  std::int64_t rejected_requests = 0;   // refused: bounded queue was full
-  std::int64_t deadline_expired = 0;    // expired while queued or mid-run
-  std::int64_t cancelled_requests = 0;  // cancelled while queued or mid-run
-  std::int64_t pings = 0;               // health probes answered (net)
-  std::int64_t sheds_with_hint = 0;     // refusals sent with retry_after_us
-  std::int64_t drain_started = 0;       // drain() transitions (0 or 1)
-  // Latency distribution snapshots (microseconds; each value is the upper
-  // bound of the log-linear bucket holding the quantile, so it is exact to
-  // within ~25% — see obs::Histogram). queue_wait covers admission ->
-  // dispatch for every queued request; service_time covers the execution
-  // of one unit of work (one task, or one batched predict forward).
-  std::int64_t queue_wait_p50_us = 0;
-  std::int64_t queue_wait_p99_us = 0;
-  std::int64_t service_time_p50_us = 0;
-  std::int64_t service_time_p99_us = 0;
-  // Slice-scheduler counters (at exclusive_slice_ms == 0 every stepped run
-  // is one slice, never preempted or resumed):
-  std::int64_t exclusive_slices = 0;       // stepped dispatches (first+resumed)
-  std::int64_t exclusive_preemptions = 0;  // re-parked at slice expiry
-  std::int64_t exclusive_resumes = 0;      // dispatches of a preempted task
-  // The same distributions split by request kind: pure covers predict /
-  // profile / profile_baseline (and batched predict forwards), exclusive
-  // covers search / train_baseline / measured-evaluator traffic. A
-  // preempted exclusive records one wait and one service-time sample per
-  // dispatch (each slice waited and ran separately).
-  std::int64_t pure_queue_wait_p50_us = 0;
-  std::int64_t pure_queue_wait_p99_us = 0;
-  std::int64_t pure_service_time_p50_us = 0;
-  std::int64_t pure_service_time_p99_us = 0;
-  std::int64_t exclusive_queue_wait_p50_us = 0;
-  std::int64_t exclusive_queue_wait_p99_us = 0;
-  std::int64_t exclusive_service_time_p50_us = 0;
-  std::int64_t exclusive_service_time_p99_us = 0;
-};
-
 /// The serve-layer latency histogram is the obs one: lock-free log-linear
 /// microsecond buckets (4 sub-buckets per octave; quantiles exact to
 /// within ~25% — see obs::Histogram for the layout).
@@ -230,25 +183,24 @@ class Service {
   void drain();
   bool draining() const;
 
-  /// Net-layer stat recorders (the wire front end answers pings and
-  /// attaches retry_after_us hints itself; the counters live here so one
-  /// snapshot tells the whole story).
-  void record_ping();
-  void record_shed_hint();
-
-  ServiceStats stats() const;
-
   /// This service's instrument registry. The net front end registers its
-  /// "net.*" counters here so one snapshot tells the whole story; each
+  /// "net.*" counters and the "serve.pings" / "serve.sheds_with_hint"
+  /// counters it bumps here, so one snapshot tells the whole story; each
   /// Service owns its own registry (two services in one process must not
   /// merge their queues' counters).
   obs::Registry& registry() { return *registry_; }
 
   /// The full flattened metrics snapshot — every registered instrument
   /// (serve.*, plus whatever the owner registered) and the live
-  /// "serve.queue_depth". This is what the wire's kStats frame answers
-  /// and what obs::render_snapshot pretty-prints.
+  /// "serve.queue_depth". This is what the wire's kStats frame answers,
+  /// what obs::render_snapshot pretty-prints, and the one way to read a
+  /// service number.
   obs::Snapshot metrics_snapshot() const;
+
+  /// Live count of admitted, not yet started requests across all three
+  /// queues — the "serve.queue_depth" entry of metrics_snapshot(), read
+  /// alone (one lock, no histogram scan) for health probes.
+  std::int64_t queue_depth() const;
 
   const std::shared_ptr<api::EvalContext>& context() const { return ctx_; }
   const api::EngineConfig& config() const { return base_cfg_; }
@@ -281,15 +233,31 @@ class Service {
   void start_workers(std::int64_t n);
   void worker_loop(std::size_t worker_index);
 
-  /// Admit `task` to the pure or exclusive queue, bumping the request
-  /// counters (incl. predict_requests when `count_predict`) atomically
-  /// with admission. `count` is the number of logical requests the task
-  /// carries (> 1 for a PredictBatchRequest, which still occupies one
-  /// queue slot). Returns OK once admitted, else the refusal (shut down,
-  /// draining, queue full — the last bumps rejected_requests) with the
-  /// queue untouched; the caller resolves the future with it.
+  /// The one admission check, shared by every submission: refuses when
+  /// shut down or draining, else counts `count` logical requests (> 1 for
+  /// a PredictBatchRequest, which still occupies one queue slot) in
+  /// serve.requests (and serve.predict_requests when `count_predict`),
+  /// then refuses when the bounded queue is full (counting them in
+  /// serve.rejected_requests). OK means the caller may park one entry.
+  api::Status admit(std::int64_t count, bool count_predict)
+      HG_REQUIRES(queue_mutex_);
+
+  /// Admitted, not yet started requests (the one queue-depth sum).
+  std::int64_t queued() const HG_REQUIRES(queue_mutex_);
+
+  /// Admit `task` to the pure or exclusive queue (an exclusive one also
+  /// counts `count` in serve.exclusive_requests). Returns OK once
+  /// admitted, else admit()'s refusal with the queue untouched; the
+  /// caller resolves the future with it.
   api::Status enqueue(QueuedTask task, bool exclusive,
                       bool count_predict = false, std::int64_t count = 1);
+
+  /// One predict_batch call over `archs`, counted as one batched forward.
+  /// When the batched call fails (one invalid genome fails all of it) every
+  /// element falls back to a lone predict_latency, so a bad element fails
+  /// alone and every answer equals an uncoalesced submission's.
+  std::vector<api::Result<api::LatencyReport>> predict_with_fallback(
+      api::Engine& engine, const std::vector<api::Arch>& archs);
 
   /// The common submit shape: park a task on a queue, resolve its promise
   /// with the Result it produces — or with the admission refusal. Exactly
@@ -348,26 +316,30 @@ class Service {
 
   /// The per-service instrument registry, plus handles resolved once here
   /// (registry references are stable for its lifetime — obs::Registry).
-  /// Every bump is one relaxed atomic: submissions, completions and the
-  /// net layer's ping/shed recording never touch the queue lock.
-  /// queue_depth is the one ServiceStats field without an instrument — it
-  /// is derived from the queue sizes under queue_mutex_ at snapshot time.
+  /// Every bump is one relaxed atomic: completions never touch the queue
+  /// lock. serve.queue_depth is the one snapshot entry without an
+  /// instrument — it is derived from the queue sizes (queued()).
   /// Declaration order matters: registry_ first, handles after.
   std::shared_ptr<obs::Registry> registry_ =
       std::make_shared<obs::Registry>();
   struct Counters {
     obs::Registry& r;
+    // Admission (see admit()): logical requests submitted, of which
+    // exclusive-FIFO and PredictLatency / PredictBatch ones, and refusals
+    // by the full bounded queue.
     obs::Counter& requests = r.counter("serve.requests");
     obs::Counter& exclusive_requests = r.counter("serve.exclusive_requests");
     obs::Counter& predict_requests = r.counter("serve.predict_requests");
+    obs::Counter& rejected_requests = r.counter("serve.rejected_requests");
+    // Batched forwards run, and the largest batch seen.
     obs::Counter& predict_batches = r.counter("serve.predict_batches");
     obs::Gauge& max_predict_batch = r.gauge("serve.max_predict_batch");
-    obs::Counter& rejected_requests = r.counter("serve.rejected_requests");
+    // Expired / cancelled while queued or mid-run; drain() transitions.
     obs::Counter& deadline_expired = r.counter("serve.deadline_expired");
     obs::Counter& cancelled_requests = r.counter("serve.cancelled_requests");
-    obs::Counter& pings = r.counter("serve.pings");
-    obs::Counter& sheds_with_hint = r.counter("serve.sheds_with_hint");
     obs::Counter& drain_started = r.counter("serve.drain_started");
+    // Stepped dispatches (first and resumed), re-parks at slice expiry,
+    // and dispatches of a preempted run (at slice 0: one slice per run).
     obs::Counter& exclusive_slices = r.counter("serve.exclusive_slices");
     obs::Counter& exclusive_preemptions =
         r.counter("serve.exclusive_preemptions");
@@ -408,9 +380,12 @@ class Service {
   bool draining_ HG_GUARDED_BY(queue_mutex_) = false;
   Counters counters_{*registry_};  // lock-free bumps
   // Histogram handles (same registry; all lock-free record_us):
-  // admission -> dispatch, one unit of work, and the same two
-  // distributions split by request kind (pure vs exclusive) — every
-  // sample in the first pair also lands in exactly one of the others.
+  // admission -> dispatch, one unit of work (one task, one batched
+  // forward, or one slice of a stepped run), and the same two
+  // distributions split by request kind (pure: predict / profile /
+  // profile_baseline; exclusive: search / train_baseline / measured
+  // predictions) — every sample in the first pair also lands in exactly
+  // one of the others.
   LatencyHistogram& queue_wait_us_ =
       registry_->histogram("serve.queue_wait_us");
   LatencyHistogram& service_time_us_ =

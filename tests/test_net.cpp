@@ -24,6 +24,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -75,11 +76,17 @@ std::vector<api::Arch> sample_archs(const api::EngineConfig& cfg, int n) {
   return archs;
 }
 
+/// One serve.* / net.* number of `server`, read by name from its registry
+/// snapshot (the map a kStats scrape returns).
+std::int64_t metric(const Server& server, const std::string& name) {
+  return server.service()->metrics_snapshot().at(name);
+}
+
 /// Spin until the server's service has admitted `count` requests (it has
 /// *received* them; they may still be queued).
 void wait_for_requests(const Server& server, std::int64_t count) {
   for (int i = 0; i < 2000; ++i) {
-    if (server.service()->stats().requests >= count) return;
+    if (metric(server, "serve.requests") >= count) return;
     std::this_thread::sleep_for(1ms);
   }
   FAIL() << "server never saw " << count << " requests";
@@ -89,7 +96,7 @@ void wait_for_requests(const Server& server, std::int64_t count) {
 /// stall request has been dequeued and is running).
 void wait_for_drain_into_worker(const Server& server) {
   for (int i = 0; i < 2000; ++i) {
-    if (server.service()->stats().queue_depth == 0) return;
+    if (metric(server, "serve.queue_depth") == 0) return;
     std::this_thread::sleep_for(1ms);
   }
   FAIL() << "queue never drained into a worker";
@@ -501,36 +508,97 @@ TEST(NetServer, RemoteStatsMatchLocalCounters) {
   ASSERT_TRUE(remote.ping().ok());
   for (const api::Arch& a : archs)
     ASSERT_TRUE(remote.predict_latency(a).ok());
+  // Quiesce: a worker records a task's service time just after resolving
+  // its future, so the client can see the answer a beat earlier.
+  for (int i = 0;
+       i < 2000 && metric(*server.value(), "serve.service_time_us.count") <
+                       static_cast<std::int64_t>(archs.size());
+       ++i)
+    std::this_thread::sleep_for(1ms);
 
   api::Result<obs::Snapshot> scraped = remote.stats();
   ASSERT_TRUE(scraped.ok()) << scraped.status().to_string();
   const obs::Snapshot& snap = scraped.value();
+  const obs::Snapshot local = server.value()->service()->metrics_snapshot();
 
-  // One registry, two views: the wire snapshot must agree with the local
-  // structs field for field (requests are quiesced — every verb above
-  // completed before the scrape).
-  const serve::ServiceStats local = server.value()->service()->stats();
-  EXPECT_EQ(snap.at("serve.requests"), local.requests);
-  EXPECT_EQ(snap.at("serve.predict_requests"), local.predict_requests);
-  EXPECT_EQ(snap.at("serve.predict_batches"), local.predict_batches);
-  EXPECT_EQ(snap.at("serve.pings"), local.pings);
+  // One registry, one read: the wire snapshot equals the local one key
+  // for key. The one exception is net.replies_sent — the scrape was taken
+  // before its own reply went out, the local read after.
+  ASSERT_EQ(snap.size(), local.size());
+  for (const auto& [name, value] : local) {
+    ASSERT_EQ(snap.count(name), 1u) << name;
+    EXPECT_EQ(snap.at(name), name == "net.replies_sent" ? value - 1 : value)
+        << name;
+  }
+  EXPECT_EQ(snap.at("serve.requests"), 4);
+  EXPECT_EQ(snap.at("serve.pings"), 1);
   EXPECT_EQ(snap.at("serve.queue_depth"), 0);
-  EXPECT_EQ(snap.at("serve.service_time_us.p99_us"),
-            local.service_time_p99_us);
-  EXPECT_GT(snap.at("serve.service_time_us.count"), 0);
-
-  // net.* counters live in the same registry. The snapshot was taken
-  // after the kStats frame arrived but before its reply went out.
-  const NetStats net = server.value()->net_stats();
-  EXPECT_EQ(snap.at("net.connections_opened"), net.connections_opened);
-  EXPECT_EQ(snap.at("net.frames_received"), net.frames_received);
-  EXPECT_EQ(snap.at("net.replies_sent"), net.replies_sent - 1);
+  EXPECT_EQ(snap.at("serve.service_time_us.count"), 4);
   EXPECT_EQ(snap.at("net.frames_rejected"), 0);
 
   // A second scrape counts the first one's reply.
   api::Result<obs::Snapshot> again = remote.stats();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().at("net.replies_sent"), net.replies_sent);
+  EXPECT_EQ(again.value().at("net.replies_sent"),
+            local.at("net.replies_sent"));
+}
+
+TEST(NetServer, MetricNameSetIsTheStatsContract) {
+  // The registry is the only way to read a serve or net number, so its
+  // name set is the contract: every serve.* counter and gauge, each
+  // histogram's .p50_us / .p99_us / .count, the live serve.queue_depth,
+  // and every net.* counter — all present (at zero) on a fresh server.
+  auto server = Server::create(tiny_cfg());
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  const obs::Snapshot snap = server.value()->service()->metrics_snapshot();
+
+  std::set<std::string> expected = {
+      "serve.requests",
+      "serve.exclusive_requests",
+      "serve.predict_requests",
+      "serve.predict_batches",
+      "serve.max_predict_batch",
+      "serve.rejected_requests",
+      "serve.deadline_expired",
+      "serve.cancelled_requests",
+      "serve.pings",
+      "serve.sheds_with_hint",
+      "serve.drain_started",
+      "serve.exclusive_slices",
+      "serve.exclusive_preemptions",
+      "serve.exclusive_resumes",
+      "serve.queue_depth",
+      "net.connections_opened",
+      "net.connections_closed",
+      "net.connections_refused",
+      "net.frames_received",
+      "net.frames_rejected",
+      "net.connections_dropped",
+      "net.replies_sent",
+      "net.oversized_replies",
+      "net.version_mismatches",
+  };
+  for (const std::string histogram :
+       {"serve.queue_wait_us", "serve.service_time_us",
+        "serve.pure_queue_wait_us", "serve.pure_service_time_us",
+        "serve.exclusive_queue_wait_us", "serve.exclusive_service_time_us"})
+    for (const char* leaf : {".p50_us", ".p99_us", ".count"})
+      expected.insert(histogram + leaf);
+
+  std::set<std::string> names;
+  for (const auto& [name, value] : snap) {
+    names.insert(name);
+    EXPECT_EQ(value, 0) << name;
+  }
+  EXPECT_EQ(names, expected);
+
+  // The names the repo benchmark (perfbench) reads from a server scrape.
+  for (const char* name :
+       {"serve.predict_requests", "serve.predict_batches",
+        "serve.exclusive_preemptions", "serve.exclusive_queue_wait_us.p99_us",
+        "serve.pure_queue_wait_us.p50_us", "serve.pure_queue_wait_us.p99_us",
+        "serve.pure_service_time_us.p50_us"})
+    EXPECT_EQ(snap.count(name), 1u) << name;
 }
 
 TEST(NetServer, WireRequestIdBecomesServerTraceId) {
@@ -610,7 +678,7 @@ TEST(NetServer, DeadlineExpiresQueuedRequestWithoutRunning) {
   EXPECT_TRUE(fine.ok()) << fine.status().to_string();
   EXPECT_TRUE(remote.wait_search(search_id.value()).ok());
 
-  EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
+  EXPECT_GE(metric(*server.value(), "serve.deadline_expired"), 1);
 }
 
 TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
@@ -639,7 +707,7 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
     // queued) before the deadline can fire.
     bool started = false;
     for (int i = 0; i < 2000 && !started; ++i) {
-      started = server.value()->service()->stats().exclusive_slices > 0;
+      started = metric(*server.value(), "serve.exclusive_slices") > 0;
       std::this_thread::sleep_for(1ms);
     }
     ASSERT_TRUE(started) << "search never started stepping";
@@ -647,7 +715,7 @@ TEST(NetServer, DeadlineExpiresMidRunWhenServerSlices) {
     api::Result<api::SearchReport> r = remote.wait_search(search_id.value());
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-    EXPECT_GE(server.value()->service()->stats().deadline_expired, 1);
+    EXPECT_GE(metric(*server.value(), "serve.deadline_expired"), 1);
 
     // The worker is free again and the server keeps serving.
     const std::vector<api::Arch> archs = sample_archs(cfg, 1);
@@ -697,7 +765,7 @@ TEST(NetServer, BoundedQueueRejectsOverLimitSubmissions) {
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(rejected, kFlood - 2);
   EXPECT_TRUE(remote.wait_search(search_id.value()).ok());
-  EXPECT_EQ(server.value()->service()->stats().rejected_requests,
+  EXPECT_EQ(metric(*server.value(), "serve.rejected_requests"),
             kFlood - 2);
 }
 
@@ -729,7 +797,7 @@ TEST(NetServer, DisconnectCancelsThatConnectionsQueuedRequests) {
   EXPECT_TRUE(after.ok()) << after.status().to_string();
   // The four queued profiles and the running search: a stepped run is
   // cancelled between steps at every slice value, 0 included.
-  EXPECT_GE(server.value()->service()->stats().cancelled_requests, 5);
+  EXPECT_GE(metric(*server.value(), "serve.cancelled_requests"), 5);
 }
 
 TEST(NetServer, PredictWindowCoalescesRemoteTrickleTraffic) {
@@ -775,10 +843,11 @@ TEST(NetServer, PredictWindowCoalescesRemoteTrickleTraffic) {
     EXPECT_DOUBLE_EQ(served.value().latency_ms, direct.value().latency_ms);
   }
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_EQ(stats.predict_requests, 8);
-  EXPECT_LT(stats.predict_batches, stats.predict_requests);
-  EXPECT_GT(stats.max_predict_batch, 1);
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"), 8);
+  EXPECT_LT(stats.at("serve.predict_batches"),
+            stats.at("serve.predict_requests"));
+  EXPECT_GT(stats.at("serve.max_predict_batch"), 1);
 }
 
 TEST(ServeWindow, ZeroWindowPreservesEagerDraining) {
@@ -804,7 +873,8 @@ TEST(ServeWindow, ZeroWindowPreservesEagerDraining) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   // Far below any plausible window; just prove nobody slept on purpose.
   EXPECT_LT(elapsed, 5s);
-  EXPECT_EQ(service.value()->stats().predict_batches, 1);
+  EXPECT_EQ(service.value()->metrics_snapshot().at("serve.predict_batches"),
+            1);
 }
 
 // ---- raw-socket robustness -------------------------------------------------
@@ -986,11 +1056,11 @@ TEST(NetBatchFrame, BatchedFrameRunsAsOneServiceUnit) {
     EXPECT_DOUBLE_EQ(remote.value()[i].latency_ms,
                      local.value()[i].latency_ms);
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_EQ(stats.predict_requests,
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"),
             static_cast<std::int64_t>(archs.size()));
-  EXPECT_GE(stats.predict_batches, 1);
-  EXPECT_GE(stats.max_predict_batch,
+  EXPECT_GE(stats.at("serve.predict_batches"), 1);
+  EXPECT_GE(stats.at("serve.max_predict_batch"),
             static_cast<std::int64_t>(archs.size()));
 }
 
@@ -1011,7 +1081,7 @@ TEST(NetBatchFrame, OversizedBatchRefusedPerElementWithoutRunning) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), api::StatusCode::kResourceExhausted);
   // Refused before submission: the service never saw the work.
-  EXPECT_EQ(server.value()->service()->stats().requests, 0);
+  EXPECT_EQ(metric(*server.value(), "serve.requests"), 0);
 
   // The refusal is a clean per-request answer — the connection lives.
   api::Result<api::LatencyReport> sane =
@@ -1197,7 +1267,7 @@ TEST(NetClient, GoodbyeDrainsPipelinedRequests) {
   api::Result<api::ProfileReport> r2 = remote.wait_profile(id2.value());
   EXPECT_TRUE(r1.ok()) << r1.status().to_string();
   EXPECT_TRUE(r2.ok()) << r2.status().to_string();
-  EXPECT_EQ(server.value()->service()->stats().cancelled_requests, 0);
+  EXPECT_EQ(metric(*server.value(), "serve.cancelled_requests"), 0);
 }
 
 TEST(ServeWindow, LoneWorkerDoesNotStallPureWorkOnTheWindow) {
@@ -1448,10 +1518,11 @@ TEST(NetServer, PingReportsHealthAndDrainState) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), api::StatusCode::kUnavailable);
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_GE(stats.pings, 2);
-  EXPECT_EQ(stats.drain_started, 1);
-  EXPECT_GE(stats.sheds_with_hint, 1);  // the drain refusal carried a hint
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_GE(stats.at("serve.pings"), 2);
+  EXPECT_EQ(stats.at("serve.drain_started"), 1);
+  // The drain refusal carried a hint.
+  EXPECT_GE(stats.at("serve.sheds_with_hint"), 1);
 }
 
 TEST(NetServer, OldVersionPeerGetsCleanFarewell) {
@@ -1497,7 +1568,7 @@ TEST(NetServer, OldVersionPeerGetsCleanFarewell) {
   EXPECT_EQ(code,
             static_cast<std::uint32_t>(api::StatusCode::kFailedPrecondition));
   EXPECT_TRUE(conn.closed_by_peer());
-  EXPECT_GE(server.value()->net_stats().version_mismatches, 1);
+  EXPECT_GE(metric(*server.value(), "net.version_mismatches"), 1);
 }
 
 TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
@@ -1550,7 +1621,7 @@ TEST(NetServer, ShedRepliesCarryRetryAfterHint) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), api::StatusCode::kResourceExhausted);
   EXPECT_EQ(hint, 9'000u);
-  EXPECT_GE(server.value()->service()->stats().sheds_with_hint, 1);
+  EXPECT_GE(metric(*server.value(), "serve.sheds_with_hint"), 1);
 
   // The hint certifies "never ran", so even a MUTATING verb may ride it:
   // this search retries through the full queue (backoff floored at the
@@ -1632,9 +1703,10 @@ TEST(NetServer, DrainAnswersQueuedWorkThenCloses) {
   }
   EXPECT_TRUE(refused) << "drain never closed the listen socket";
 
-  const serve::ServiceStats stats = server.value()->service()->stats();
-  EXPECT_EQ(stats.drain_started, 1);
-  EXPECT_EQ(stats.cancelled_requests, 0) << "drain abandoned admitted work";
+  const obs::Snapshot stats = server.value()->service()->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.drain_started"), 1);
+  EXPECT_EQ(stats.at("serve.cancelled_requests"), 0)
+      << "drain abandoned admitted work";
   server.value()->stop();
 }
 

@@ -29,6 +29,12 @@ api::EngineConfig tiny_cfg() {
   return cfg;
 }
 
+/// One serve.* number of `service`, read by name from its registry
+/// snapshot.
+std::int64_t metric(const Service& service, const std::string& name) {
+  return service.metrics_snapshot().at(name);
+}
+
 std::shared_ptr<Service> make_service(const api::EngineConfig& cfg,
                                       std::int64_t workers) {
   ServiceConfig scfg;
@@ -218,10 +224,11 @@ TEST(Serve, CoalescesPredictorQueriesIntoBatches) {
     EXPECT_DOUBLE_EQ(served.value().latency_ms, direct.value().latency_ms);
   }
 
-  const ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.predict_requests, 12);
-  EXPECT_LT(stats.predict_batches, stats.predict_requests);
-  EXPECT_GT(stats.max_predict_batch, 1);
+  const obs::Snapshot stats = service->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"), 12);
+  EXPECT_LT(stats.at("serve.predict_batches"),
+            stats.at("serve.predict_requests"));
+  EXPECT_GT(stats.at("serve.max_predict_batch"), 1);
 
   // A malformed genome that lands in a coalesced batch must fail alone:
   // its batchmates get exactly the answer an uncoalesced query would.
@@ -327,9 +334,9 @@ TEST(Serve, StressManyMixedRequestsAcrossWorkerCounts) {
     }
     for (auto& f : prof) ASSERT_TRUE(f.get().ok());
     for (auto& f : train) ASSERT_TRUE(f.get().ok());
-    const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.requests, 4 * (2 * 16 + 1));
-    EXPECT_EQ(stats.exclusive_requests, 4);
+    const obs::Snapshot stats = service->metrics_snapshot();
+    EXPECT_EQ(stats.at("serve.requests"), 4 * (2 * 16 + 1));
+    EXPECT_EQ(stats.at("serve.exclusive_requests"), 4);
     latencies.push_back(std::move(run));
   }
   ASSERT_EQ(latencies[0].size(), latencies[1].size());
@@ -369,10 +376,12 @@ TEST(ServeBatch, BatchRequestMatchesLoneSubmissionsBitIdentically) {
     EXPECT_DOUBLE_EQ(batched[i].value().peak_memory_mb,
                      lone[i].peak_memory_mb);
   }
-  const ServiceStats stats = batch_service->stats();
-  EXPECT_EQ(stats.predict_requests, static_cast<std::int64_t>(archs.size()));
-  EXPECT_GE(stats.predict_batches, 1);
-  EXPECT_GE(stats.max_predict_batch, static_cast<std::int64_t>(archs.size()));
+  const obs::Snapshot stats = batch_service->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.predict_requests"),
+            static_cast<std::int64_t>(archs.size()));
+  EXPECT_GE(stats.at("serve.predict_batches"), 1);
+  EXPECT_GE(stats.at("serve.max_predict_batch"),
+            static_cast<std::int64_t>(archs.size()));
   batch_service->shutdown();
 }
 
@@ -413,6 +422,118 @@ TEST(ServeBatch, EmptyBatchResolvesImmediately) {
   service->shutdown();
 }
 
+TEST(ServeBatch, MeasuredBatchCountsEveryElementInEveryCounter) {
+  // A measured-evaluator batch of n runs on the exclusive FIFO as ONE
+  // queue entry, yet is n logical requests in every admission counter,
+  // serve.exclusive_requests included.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.device = "rtx3080";
+  cfg.evaluator = "measured";
+  auto probe = api::Engine::create(cfg);
+  ASSERT_TRUE(probe.ok()) << probe.status().to_string();
+  std::vector<api::Arch> archs;
+  for (int i = 0; i < 3; ++i) archs.push_back(probe.value().sample_arch());
+
+  auto service = make_service(cfg, 2);
+  ASSERT_NE(service, nullptr);
+  const obs::Snapshot before = service->metrics_snapshot();
+  std::vector<api::Result<api::LatencyReport>> results =
+      service->submit(PredictBatchRequest{archs}).get();
+  ASSERT_EQ(results.size(), archs.size());
+  for (const auto& r : results) EXPECT_TRUE(r.ok()) << r.status().to_string();
+  const obs::Snapshot after = service->metrics_snapshot();
+  for (const char* name : {"serve.requests", "serve.predict_requests",
+                           "serve.exclusive_requests"})
+    EXPECT_EQ(after.at(name) - before.at(name), 3) << name;
+  service->shutdown();
+}
+
+TEST(ServeAdmission, EveryPathRefusesAlike) {
+  // One admission check serves every submission: a coalesced predict, a
+  // batch of n, a profile and a search are refused with the same Status,
+  // first by a full bounded queue, then by a drain. A queue-full refusal
+  // counts each logical request (n for the batch) in serve.requests and
+  // serve.rejected_requests, predictions also in serve.predict_requests;
+  // a drain refusal counts nothing.
+  api::EngineConfig cfg = tiny_cfg();
+  cfg.evaluator = "predictor";
+  cfg.predictor_samples = 40;
+  cfg.predictor_epochs = 4;
+  ServiceConfig scfg;
+  scfg.num_workers = 1;
+  scfg.max_queue_depth = 1;
+  auto created = Service::create(cfg, scfg);
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  Service& service = *created.value();
+  auto probe = api::Engine::create(cfg, service.context());
+  ASSERT_TRUE(probe.ok()) << probe.status().to_string();
+  const api::Arch arch = probe.value().sample_arch();
+  const std::vector<api::Arch> batch(3, arch);
+
+  // One submission of each kind; a batch contributes one Status per
+  // element.
+  const auto submit_each_kind = [&] {
+    std::vector<api::Status> statuses;
+    statuses.push_back(
+        service.submit(PredictLatencyRequest{arch}).get().status());
+    for (const auto& r : service.submit(PredictBatchRequest{batch}).get())
+      statuses.push_back(r.status());
+    statuses.push_back(service.submit(ProfileRequest{arch}).get().status());
+    statuses.push_back(service.submit(SearchRequest{}).get().status());
+    return statuses;
+  };
+  const auto expect_all = [](const std::vector<api::Status>& statuses,
+                             api::StatusCode code, const std::string& msg) {
+    ASSERT_EQ(statuses.size(), 6u);
+    for (const api::Status& st : statuses) {
+      EXPECT_EQ(st.code(), code) << st.to_string();
+      EXPECT_EQ(st.message(), msg);
+    }
+  };
+  const auto moved = [](const obs::Snapshot& before,
+                        const obs::Snapshot& after, const char* name) {
+    return after.at(name) - before.at(name);
+  };
+
+  // Full queue: the lone worker runs a long search, one profile waits.
+  api::EngineConfig long_search = cfg;
+  long_search.iterations = 500;
+  SearchRequest hold{long_search};
+  hold.opts.cancel = std::make_shared<std::atomic<bool>>(false);
+  const auto cancel = hold.opts.cancel;
+  auto held = service.submit(std::move(hold));
+  for (int i = 0; i < 5000 && metric(service, "serve.exclusive_slices") == 0;
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GT(metric(service, "serve.exclusive_slices"), 0);
+  auto queued = service.submit(ProfileRequest{arch});
+  ASSERT_EQ(metric(service, "serve.queue_depth"), 1);
+
+  obs::Snapshot before = service.metrics_snapshot();
+  expect_all(submit_each_kind(), api::StatusCode::kResourceExhausted,
+             "service queue is full");
+  obs::Snapshot after = service.metrics_snapshot();
+  EXPECT_EQ(moved(before, after, "serve.requests"), 1 + 3 + 1 + 1);
+  EXPECT_EQ(moved(before, after, "serve.predict_requests"), 1 + 3);
+  EXPECT_EQ(moved(before, after, "serve.rejected_requests"), 1 + 3 + 1 + 1);
+  EXPECT_EQ(moved(before, after, "serve.exclusive_requests"), 0);
+
+  cancel->store(true);
+  EXPECT_EQ(held.get().status().code(), api::StatusCode::kCancelled);
+  EXPECT_TRUE(queued.get().ok());
+
+  // Draining: refused before anything is counted.
+  service.drain();
+  before = service.metrics_snapshot();
+  expect_all(submit_each_kind(), api::StatusCode::kUnavailable,
+             "service is draining");
+  after = service.metrics_snapshot();
+  for (const char* name : {"serve.requests", "serve.predict_requests",
+                           "serve.rejected_requests"})
+    EXPECT_EQ(moved(before, after, name), 0) << name;
+  service.shutdown();
+}
+
 TEST(ServeStats, LatencyHistogramsReportWaitAndServiceTime) {
   const api::EngineConfig cfg = tiny_cfg();
   auto probe = api::Engine::create(cfg);
@@ -426,14 +547,16 @@ TEST(ServeStats, LatencyHistogramsReportWaitAndServiceTime) {
         service->submit(PredictLatencyRequest{probe.value().sample_arch()}));
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
 
-  const ServiceStats stats = service->stats();
+  const obs::Snapshot stats = service->metrics_snapshot();
   // Percentiles are log-linear-bucket upper bounds: monotone in rank, and
   // a served request always records a service time (>= the 0-bucket).
-  EXPECT_GE(stats.queue_wait_p99_us, stats.queue_wait_p50_us);
-  EXPECT_GE(stats.service_time_p99_us, stats.service_time_p50_us);
-  EXPECT_GE(stats.service_time_p99_us, 0);
+  EXPECT_GE(stats.at("serve.queue_wait_us.p99_us"),
+            stats.at("serve.queue_wait_us.p50_us"));
+  EXPECT_GE(stats.at("serve.service_time_us.p99_us"),
+            stats.at("serve.service_time_us.p50_us"));
+  EXPECT_GE(stats.at("serve.service_time_us.p99_us"), 0);
   // A p99 of a 32-request run that did real work should be nonzero.
-  EXPECT_GT(stats.service_time_p99_us, 0);
+  EXPECT_GT(stats.at("serve.service_time_us.p99_us"), 0);
   service->shutdown();
 }
 
@@ -488,7 +611,7 @@ std::shared_ptr<Service> make_sliced_service(const api::EngineConfig& cfg,
 /// (i.e. the search is genuinely running, not just queued).
 bool wait_for_first_slice(Service& service) {
   for (int i = 0; i < 2000; ++i) {
-    if (service.stats().exclusive_slices > 0) return true;
+    if (metric(service, "serve.exclusive_slices") > 0) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
@@ -516,15 +639,16 @@ TEST(ServeSlice, SlicedRunBitIdenticalToRunToCompletion) {
   auto sliced = make_sliced_service(cfg, 2, /*slice_ms=*/1);
   ASSERT_NE(sliced, nullptr);
   const RunResults preempted = run_script(*sliced, archs);
-  const ServiceStats stats = sliced->stats();
+  const obs::Snapshot stats = sliced->metrics_snapshot();
   sliced->shutdown();
 
   // The slice path actually engaged, and the per-kind split saw traffic
   // on both sides.
-  EXPECT_GT(stats.exclusive_slices, 0);
-  EXPECT_GT(stats.pure_service_time_p99_us, 0);
-  EXPECT_GT(stats.exclusive_service_time_p99_us, 0);
-  EXPECT_GE(stats.queue_wait_p99_us, stats.pure_queue_wait_p50_us);
+  EXPECT_GT(stats.at("serve.exclusive_slices"), 0);
+  EXPECT_GT(stats.at("serve.pure_service_time_us.p99_us"), 0);
+  EXPECT_GT(stats.at("serve.exclusive_service_time_us.p99_us"), 0);
+  EXPECT_GE(stats.at("serve.queue_wait_us.p99_us"),
+            stats.at("serve.pure_queue_wait_us.p50_us"));
 
   ASSERT_EQ(legacy.searches.size(), preempted.searches.size());
   for (std::size_t i = 0; i < legacy.searches.size(); ++i) {
@@ -583,11 +707,11 @@ TEST(ServeSlice, PreemptedSearchIsResumedAndStillCorrect) {
   }
   api::Result<api::SearchReport> got = search.get();
   ASSERT_TRUE(got.ok()) << got.status().to_string();
-  const ServiceStats stats = service->stats();
+  const obs::Snapshot stats = service->metrics_snapshot();
   service->shutdown();
 
-  EXPECT_GT(stats.exclusive_preemptions, 0);
-  EXPECT_GT(stats.exclusive_resumes, 0);
+  EXPECT_GT(stats.at("serve.exclusive_preemptions"), 0);
+  EXPECT_GT(stats.at("serve.exclusive_resumes"), 0);
   EXPECT_GT(probes, 0);
   // The service search ran on a fresh engine over the same context state
   // a lone engine starts from — identical results.
@@ -621,7 +745,7 @@ TEST(ServeSlice, MidRunCancelResolvesBetweenSteps) {
     api::Result<api::SearchReport> r = search.get();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
-    EXPECT_GE(service->stats().cancelled_requests, 1);
+    EXPECT_GE(metric(*service, "serve.cancelled_requests"), 1);
 
     // The worker is free again: the service keeps serving.
     auto probe = api::Engine::create(cfg);
@@ -651,7 +775,7 @@ TEST(ServeSlice, MidRunDeadlineResolvesBetweenSteps) {
     api::Result<api::SearchReport> r = search.get();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), api::StatusCode::kDeadlineExceeded);
-    EXPECT_GE(service->stats().deadline_expired, 1);
+    EXPECT_GE(metric(*service, "serve.deadline_expired"), 1);
     service->shutdown();
   }
 }
@@ -676,10 +800,10 @@ TEST(ServeSlice, SliceZeroIsAnUnboundedSlice) {
   EXPECT_EQ(search.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   ASSERT_TRUE(search.get().ok());
-  ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.exclusive_slices, 1);
-  EXPECT_EQ(stats.exclusive_preemptions, 0);
-  EXPECT_EQ(stats.exclusive_resumes, 0);
+  obs::Snapshot stats = service->metrics_snapshot();
+  EXPECT_EQ(stats.at("serve.exclusive_slices"), 1);
+  EXPECT_EQ(stats.at("serve.exclusive_preemptions"), 0);
+  EXPECT_EQ(stats.at("serve.exclusive_resumes"), 0);
 
   // A long run cancelled mid-run resolves CANCELLED at the next step.
   api::EngineConfig huge = cfg;
@@ -688,18 +812,19 @@ TEST(ServeSlice, SliceZeroIsAnUnboundedSlice) {
   req.opts.cancel = std::make_shared<std::atomic<bool>>(false);
   auto cancel = req.opts.cancel;
   auto doomed = service->submit(std::move(req));
-  for (int i = 0; i < 2000 && service->stats().exclusive_slices < 2; ++i)
+  for (int i = 0; i < 2000 && metric(*service, "serve.exclusive_slices") < 2;
+       ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(service->stats().exclusive_slices, 2);
+  ASSERT_EQ(metric(*service, "serve.exclusive_slices"), 2);
   cancel->store(true);
   api::Result<api::SearchReport> r = doomed.get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), api::StatusCode::kCancelled);
-  stats = service->stats();
+  stats = service->metrics_snapshot();
   service->shutdown();
-  EXPECT_EQ(stats.cancelled_requests, 1);
-  EXPECT_EQ(stats.exclusive_preemptions, 0);
-  EXPECT_EQ(stats.exclusive_resumes, 0);
+  EXPECT_EQ(stats.at("serve.cancelled_requests"), 1);
+  EXPECT_EQ(stats.at("serve.exclusive_preemptions"), 0);
+  EXPECT_EQ(stats.at("serve.exclusive_resumes"), 0);
 }
 
 TEST(ServeSlice, EngineVerbCountersCountEachRunOnce) {
