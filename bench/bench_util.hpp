@@ -20,6 +20,7 @@
 
 #include "api/engine.hpp"
 #include "core/parallel.hpp"
+#include "core/simd.hpp"
 #include "json_common.hpp"
 
 namespace hg::bench {
@@ -42,8 +43,10 @@ class Timer {
 /// Machine-readable bench output: collects (name, wall_ms, problem, value)
 /// records and writes BENCH_<bench>.json into the working directory on
 /// destruction (or an explicit write()). Each record also captures the pool
-/// width at the time of the measurement and the file carries the git rev,
-/// giving the repo a perf trajectory that CI can archive per commit.
+/// width at the time of the measurement and the file carries the git rev
+/// and the kernel body the run-time-dispatched kernels ran
+/// (simd::kernel_isa()), giving the repo a perf trajectory that CI can
+/// archive per commit.
 class JsonReporter {
  public:
   explicit JsonReporter(std::string bench) : bench_(std::move(bench)) {}
@@ -70,8 +73,10 @@ class JsonReporter {
       std::fprintf(stderr, "bench: cannot write %s\n", path().c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"git_rev\": \"%s\",\n",
-                 json_escape(bench_).c_str(), git_rev());
+    std::fprintf(f,
+                 "{\n  \"bench\": \"%s\",\n  \"git_rev\": \"%s\",\n"
+                 "  \"kernel_isa\": \"%s\",\n",
+                 json_escape(bench_).c_str(), git_rev(), simd::kernel_isa());
     std::fprintf(f, "  \"records\": [\n");
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];

@@ -21,7 +21,9 @@
 // already admitted, half-closes, and exits with the stats report.
 // --trace-out PATH enables request-scoped tracing for the whole session
 // and writes the spans as Chrome trace_event JSON (load in
-// chrome://tracing or Perfetto) when the service shuts down.
+// chrome://tracing or Perfetto) when the service shuts down. The
+// "listening on" line names the kernel body this CPU selected ("avx2" or
+// "baseline"; see core/simd.hpp).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +31,7 @@
 #include <string>
 #include <thread>
 
+#include "core/simd.hpp"
 #include "net/server.hpp"
 
 int main(int argc, char** argv) {
@@ -106,12 +109,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("listening on %s:%u (workers %lld, predict window %lld us, "
-              "queue bound %lld, slice %lld ms)\n",
+              "queue bound %lld, slice %lld ms, kernels %s)\n",
               server_cfg.host.c_str(), server.value()->port(),
               static_cast<long long>(workers),
               static_cast<long long>(window_us),
               static_cast<long long>(max_queue),
-              static_cast<long long>(slice_ms));
+              static_cast<long long>(slice_ms), simd::kernel_isa());
   std::fflush(stdout);
 
   const auto started = std::chrono::steady_clock::now();

@@ -5,8 +5,9 @@ Usage: check_perf_regression.py <current.json> <baseline.json> [threshold]
            [--require-speedup SLOW:FAST:RATIO]...
 
 Fails (exit 1) when any record's wall_ms regresses more than `threshold`x
-(default 1.5) against the same-named record in the baseline file, and the
-measurement is above the noise floor. Records missing on either side are
+(default 1.5, or $HG_PERF_THRESHOLD; a finite ratio >= 1) against the
+same-named record in the baseline file, and the measurement is above the
+noise floor. Records missing on either side are
 reported but do not fail the gate (bench contents may evolve); improvements
 are reported for the log.
 
@@ -19,6 +20,13 @@ depending on the absolute speed of the runner. A named record missing from
 the current file fails the gate (exit 1): silently skipping would let a
 renamed bench retire the guarantee.
 
+Any failure prints both files' `kernel_isa` (the body the run-time
+dispatched kernels ran: "avx2" or "baseline"; "unknown" for records
+written before it was recorded), so a step between records that is only a
+different kernel body can be told from a regression. Bad input (an
+unreadable file, a malformed spec, a threshold or ratio that is not a
+finite number in range) exits 2 with a one-line error.
+
 The baseline lives in bench/baseline/ and is refreshed deliberately, by
 committing a new BENCH_*.json produced on the reference configuration —
 that keeps the perf trajectory an explicit, reviewable artifact.
@@ -26,6 +34,7 @@ that keeps the perf trajectory an explicit, reviewable artifact.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,9 +50,10 @@ def die(msg):
 
 
 def load_records(path):
-    """Parse a BENCH_*.json into {name: record}; exits 2 with a one-line
-    error on a missing or malformed file (a CI misconfiguration, not a
-    perf regression — the traceback would bury the actual problem)."""
+    """Parse a BENCH_*.json into ({name: record}, kernel_isa); exits 2 with
+    a one-line error on a missing or malformed file (a CI misconfiguration,
+    not a perf regression — the traceback would bury the actual
+    problem)."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -56,9 +66,23 @@ def load_records(path):
         die(f"error: {path!r} has no 'records' array — not a "
             "BENCH_*.json file?")
     try:
-        return {r["name"]: r for r in records}
+        by_name = {r["name"]: r for r in records}
     except (KeyError, TypeError):
         die(f"error: {path!r} has a record without a 'name' field")
+    return by_name, str(data.get("kernel_isa", "unknown"))
+
+
+def parse_threshold(text, source):
+    """A regression threshold: a finite ratio >= 1. Anything else exits 2
+    (a NaN would pass every comparison, a ratio below 1 fail every one)."""
+    try:
+        value = float(text)
+    except ValueError:
+        die(f"error: threshold {text!r} ({source}) is not a number")
+    if not math.isfinite(value) or value < 1:
+        die(f"error: threshold {text!r} ({source}) is not a finite "
+            "ratio >= 1")
+    return value
 
 
 def parse_speedup_spec(spec):
@@ -72,6 +96,8 @@ def parse_speedup_spec(spec):
         ratio = float(parts[1])
     except ValueError:
         die(f"error: --require-speedup ratio {parts[1]!r} is not a number")
+    if not math.isfinite(ratio):
+        die(f"error: --require-speedup ratio {parts[1]!r} is not finite")
     if not slow or not fast or ratio <= 0:
         die(f"error: --require-speedup spec {spec!r} is not SLOW:FAST:RATIO")
     return slow, fast, ratio
@@ -120,12 +146,15 @@ def main():
         print(__doc__)
         return 2
     current_path, baseline_path = args.current, args.baseline
-    threshold = float(args.threshold) if args.threshold is not None else float(
-        os.environ.get("HG_PERF_THRESHOLD", "1.5"))
+    if args.threshold is not None:
+        threshold = parse_threshold(args.threshold, "argument")
+    else:
+        threshold = parse_threshold(
+            os.environ.get("HG_PERF_THRESHOLD", "1.5"), "HG_PERF_THRESHOLD")
     speedup_specs = [parse_speedup_spec(s) for s in args.require_speedup]
 
-    current = load_records(current_path)
-    baseline = load_records(baseline_path)
+    current, current_isa = load_records(current_path)
+    baseline, baseline_isa = load_records(baseline_path)
 
     failures = []
     compared = 0
@@ -177,6 +206,8 @@ def main():
         for msg in speedup_failures:
             print(f"  {msg}")
     if failures or speedup_failures:
+        print(f"\nkernel_isa: current {current_isa}, "
+              f"baseline {baseline_isa}")
         return 1
     print(f"\nperf gate passed ({compared} records compared, "
           f"{len(speedup_specs)} speedup assertion(s), "

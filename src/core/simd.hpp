@@ -1,23 +1,32 @@
 #pragma once
 
-// Vectorized inner loops for the hot kernels (matmul, fused aggregate,
-// KNN distances), with a compile-time dispatch:
+// Vectorized inner loops for the hot kernels (matmul, the predictor's
+// per-graph forward, fused aggregate, KNN distances), with two dispatches:
 //
-//   - `hg::simd::scalar::*` is the portable reference. It spells out the
-//     exact per-element arithmetic (and its order) that the historical
-//     serial loops performed, and is always compiled.
-//   - The unqualified `hg::simd::*` entry points forward to an AVX2 path
-//     when the build enables it (HG_NATIVE=ON implies -march=native, so
+//   - Run time, for the hottest kernels (detail::matmul_rows in tensor.cpp
+//     and the predictor's per-graph forward). Each is one always-inline
+//     body over GCC vector types, compiled twice: a baseline entry with
+//     16-byte vectors and an HG_TARGET_AVX2 entry with 32-byte ones. Every
+//     call picks its entry from cpu_has_avx2(), never from an option, so a
+//     default (portable) build still runs the AVX2 body on an AVX2 host.
+//     kernel_isa() names the body that runs.
+//   - Compile time, for the helpers below: `hg::simd::scalar::*` is the
+//     portable reference, spelling out the exact per-element arithmetic
+//     (and its order) of the historical serial loops. The unqualified
+//     `hg::simd::*` entry points forward to hand-written AVX2 intrinsics
+//     when the build enables them (HG_NATIVE=ON implies -march=native, so
 //     __AVX2__ is defined on any AVX2 box) and to the scalar reference
 //     otherwise.
 //
-// Bit-identity contract: every AVX2 body uses only per-lane IEEE mul/add/
+// Bit-identity contract: every vector body uses only per-lane IEEE mul/add/
 // sub/div — never FMA, never a horizontal reduction — so each output
 // element sees exactly the operation sequence of its scalar counterpart
-// and the two paths agree bit-for-bit. The top-level CMakeLists adds
+// and every path agrees bit-for-bit. The top-level CMakeLists adds
 // -ffp-contract=off so the compiler cannot re-introduce contraction into
-// the scalar reference either. tests/test_simd.cpp asserts the per-element
-// equality for every helper, including odd lengths (remainder lanes).
+// the scalar reference or the vector-type bodies either. tests/test_simd.cpp
+// asserts the per-element equality for every helper, including odd lengths
+// (remainder lanes), and runs every compiled body of the dispatched
+// kernels, not only the selected one.
 //
 // Loops here never reduce across lanes: order-sensitive reductions into a
 // single accumulator (e.g. the rel-norm in gnn::fused_edge_message, a
@@ -32,7 +41,47 @@
 #define HG_SIMD_AVX2 1
 #endif
 
+// ---- run-time dispatch -------------------------------------------------------
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/// Compiles one function for AVX2 whatever the build's -march; call it only
+/// when cpu_has_avx2().
+#define HG_TARGET_AVX2 __attribute__((target("avx2")))
+#define HG_SIMD_X86_DISPATCH 1
+#else
+#define HG_TARGET_AVX2
+#endif
+
+/// Inlines a kernel body into each entry that calls it, so the body is
+/// compiled once per entry, for that entry's target.
+#define HG_ALWAYS_INLINE inline __attribute__((always_inline))
+
 namespace hg::simd {
+
+/// Four and eight floats as one GCC vector: the baseline body's SSE2
+/// register and the AVX2 body's ymm register. Arithmetic on them is
+/// per-lane IEEE, and a float operand is broadcast to every lane.
+using f32x4 = float __attribute__((vector_size(16)));
+using f32x8 = float __attribute__((vector_size(32)));
+
+/// Whether this CPU (and its OS) runs AVX2 code. Read once, then cached.
+inline bool cpu_has_avx2() {
+#if defined(HG_SIMD_X86_DISPATCH)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+/// The body every run-time-dispatched kernel runs on this CPU: "avx2" or
+/// "baseline". Benches record it beside their numbers.
+inline const char* kernel_isa() {
+  return cpu_has_avx2() ? "avx2" : "baseline";
+}
 
 namespace scalar {
 

@@ -236,11 +236,9 @@ double LatencyPredictor::score_to_ms(float score) const {
   return std::max(0.0, static_cast<double>(score) * scale_ms_);
 }
 
-namespace {
-
 // ---- tape-free inference ----------------------------------------------------
 //
-// Every helper below performs the float operations of the tape op it
+// Every step below performs the float operations of the tape op it
 // replaces, in the same order, so the result is byte-equal to forward():
 // the linears run the tape's own forward matmul kernel
 // (detail::matmul_rows, zero-skip on) and then add the bias, scatter_reduce
@@ -249,12 +247,36 @@ namespace {
 // -ffp-contract=off keeps the compiler from fusing a mul+add the tape
 // rounds twice. No Tensor is built, so no autograd node either.
 
+namespace detail {
+
 /// One nn::Linear, read in place from its parameter tensors.
 struct Dense {
   const float* w = nullptr;  // [in, out]
   const float* b = nullptr;  // [out]
   std::int64_t in = 0, out = 0;
 };
+
+/// What a per-graph forward reads: the predictor's linears and head.
+struct ForwardPlan {
+  std::span<const Dense> gcn, mlp;
+  std::int64_t width = 0;  // widest row any step writes
+  bool log_space_output = true;
+  float leaky_slope = 0.f;
+};
+
+/// Per-thread buffers, reused across the graphs of one pool chunk.
+struct ForwardScratch {
+  std::vector<float> x, h, inv_sqrt;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::Dense;
+using detail::ForwardPlan;
+using detail::ForwardScratch;
+using MatmulRowsFn = decltype(&hg::detail::matmul_rows);
 
 /// The predictor's linears in parameters() order: each nn::Linear yields
 /// weight [in, out] then bias [out].
@@ -275,109 +297,135 @@ std::vector<Dense> dense_layers(const std::vector<Tensor>& params) {
 /// y[rows, out] = x[rows, in] @ w + b: the tape's forward matmul kernel
 /// (serial — the pool splits graphs, not rows), then the bias in a
 /// separate pass, exactly the tape's matmul then add.
-void apply_linear(const Dense& l, const float* x, std::int64_t rows,
-                  float* y) {
-  detail::matmul_rows(x, l.w, y, l.in, l.out, 0, rows, /*skip_zeros=*/true);
+template <MatmulRowsFn MatmulRows>
+HG_ALWAYS_INLINE void apply_linear(const Dense& l, const float* x,
+                                   std::int64_t rows, float* y) {
+  MatmulRows(x, l.w, y, l.in, l.out, 0, rows, /*skip_zeros=*/true);
   for (std::int64_t i = 0; i < rows; ++i) {
     float* yr = y + i * l.out;
     for (std::int64_t j = 0; j < l.out; ++j) yr[j] += l.b[j];
   }
 }
 
-void relu_inplace(float* x, std::int64_t n) {
+HG_ALWAYS_INLINE void relu_inplace(float* x, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) x[i] = x[i] > 0.f ? x[i] : 0.f;
 }
 
-/// Per-thread buffers, reused across the graphs of one pool chunk.
-struct Scratch {
-  std::vector<float> x, h, inv_sqrt;
-};
+/// Runs the MLP over `rows` rows held in s.x; the output lands in s.x.
+template <MatmulRowsFn MatmulRows>
+HG_ALWAYS_INLINE void run_mlp(const ForwardPlan& plan, ForwardScratch& s,
+                              std::int64_t rows) {
+  for (std::size_t li = 0; li < plan.mlp.size(); ++li) {
+    const Dense& l = plan.mlp[li];
+    apply_linear<MatmulRows>(l, s.x.data(), rows, s.h.data());
+    const std::int64_t n = rows * l.out;
+    if (li + 1 < plan.mlp.size()) {
+      relu_inplace(s.h.data(), n);
+    } else if (!plan.log_space_output) {
+      const float slope = plan.leaky_slope;
+      for (std::int64_t i = 0; i < n; ++i)
+        s.h[i] = s.h[i] > 0.f ? s.h[i] : slope * s.h[i];
+    }
+    std::swap(s.x, s.h);
+  }
+}
+
+/// One graph's forward: the GCN layers (linear, symmetric-normalised sum
+/// over incoming edges then the self-loop term, ReLU), then the head.
+/// Compiled once per matmul entry, for that entry's target.
+template <MatmulRowsFn MatmulRows>
+HG_ALWAYS_INLINE float graph_score_body(const ForwardPlan& plan,
+                                        const ArchGraph& g,
+                                        ForwardScratch& s) {
+  const std::int64_t n = g.edges.num_nodes;
+  const std::size_t cap = static_cast<std::size_t>(n * plan.width);
+  if (s.x.size() < cap) s.x.resize(cap);
+  if (s.h.size() < cap) s.h.resize(cap);
+  const auto feat = g.features.data();
+  std::copy(feat.begin(), feat.end(), s.x.begin());
+
+  s.inv_sqrt.assign(static_cast<std::size_t>(n), 1.f);
+  for (const std::int64_t d : g.edges.dst)
+    s.inv_sqrt[static_cast<std::size_t>(d)] += 1.f;
+  for (float& v : s.inv_sqrt) v = 1.f / std::sqrt(v);
+  const float* inv = s.inv_sqrt.data();
+
+  for (const Dense& l : plan.gcn) {
+    const std::int64_t c = l.out;
+    apply_linear<MatmulRows>(l, s.x.data(), n, s.h.data());
+    float* out = s.x.data();
+    const float* h = s.h.data();
+    std::fill(out, out + n * c, 0.f);
+    for (std::size_t e = 0; e < g.edges.src.size(); ++e) {
+      const std::int64_t u = g.edges.src[e], v = g.edges.dst[e];
+      simd::axpy(out + v * c, inv[u] * inv[v], h + u * c, c);
+    }
+    for (std::int64_t v = 0; v < n; ++v)
+      simd::axpy(out + v * c, inv[v] * inv[v], h + v * c, c);
+    relu_inplace(out, n * c);
+  }
+  const std::int64_t d = plan.gcn.back().out;
+
+  if (!plan.log_space_output) {
+    // Global mean pool, then the MLP on the pooled row.
+    std::vector<float>& pooled = s.h;
+    std::fill(pooled.begin(), pooled.begin() + d, 0.f);
+    for (std::int64_t v = 0; v < n; ++v)
+      simd::accumulate(pooled.data(), s.x.data() + v * d, d);
+    for (std::int64_t j = 0; j < d; ++j)
+      s.x[j] = pooled[j] / static_cast<float>(n);
+    run_mlp<MatmulRows>(plan, s, 1);
+    return s.x[0];
+  }
+  // Additive head (see forward()): softplus per-node scores summed in
+  // node order.
+  run_mlp<MatmulRows>(plan, s, n);
+  float total = 0.f;
+  for (std::int64_t v = 0; v < n; ++v) {
+    const float z = s.x[v];
+    total += (z > 0.f ? z : 0.f) + std::log(std::exp(-std::fabs(z)) + 1.f);
+  }
+  return total;
+}
 
 }  // namespace
 
+namespace detail {
+
+float graph_score_baseline(const ForwardPlan& plan, const ArchGraph& g,
+                           ForwardScratch& s) {
+  return graph_score_body<hg::detail::matmul_rows_baseline>(plan, g, s);
+}
+
+HG_TARGET_AVX2 float graph_score_avx2(const ForwardPlan& plan,
+                                      const ArchGraph& g, ForwardScratch& s) {
+  return graph_score_body<hg::detail::matmul_rows_avx2>(plan, g, s);
+}
+
+}  // namespace detail
+
 std::vector<double> LatencyPredictor::predict_batch_ms(
     std::span<const hgnas::Arch> archs) {
+  return predict_batch_ms(archs, simd::cpu_has_avx2()
+                                     ? detail::graph_score_avx2
+                                     : detail::graph_score_baseline);
+}
+
+std::vector<double> LatencyPredictor::predict_batch_ms(
+    std::span<const hgnas::Arch> archs, detail::GraphScoreFn body) {
   if (archs.empty()) return {};
   const std::vector<Tensor> params = parameters();
   const std::vector<Dense> layers = dense_layers(params);
   check(layers.size() == gcn_.size() + cfg_.mlp_dims.size(),
         "inference: layer count mismatch");
-  const std::span<const Dense> gcn(layers.data(), gcn_.size());
-  const std::span<const Dense> mlp(layers.data() + gcn_.size(),
-                                   cfg_.mlp_dims.size());
-  std::int64_t width = kFeatureDim;
-  for (const Dense& l : layers) width = std::max(width, l.out);
-
-  // Runs the MLP over `rows` rows held in s.x; the output lands in s.x.
-  auto run_mlp = [&](Scratch& s, std::int64_t rows) {
-    for (std::size_t li = 0; li < mlp.size(); ++li) {
-      const Dense& l = mlp[li];
-      apply_linear(l, s.x.data(), rows, s.h.data());
-      const std::int64_t n = rows * l.out;
-      if (li + 1 < mlp.size()) {
-        relu_inplace(s.h.data(), n);
-      } else if (!cfg_.log_space_output) {
-        const float slope = cfg_.leaky_slope;
-        for (std::int64_t i = 0; i < n; ++i)
-          s.h[i] = s.h[i] > 0.f ? s.h[i] : slope * s.h[i];
-      }
-      std::swap(s.x, s.h);
-    }
-  };
-
-  // One graph's forward: the GCN layers (linear, symmetric-normalised sum
-  // over incoming edges then the self-loop term, ReLU), then the head.
-  auto score = [&](const ArchGraph& g, Scratch& s) -> float {
-    const std::int64_t n = g.edges.num_nodes;
-    const std::size_t cap = static_cast<std::size_t>(n * width);
-    if (s.x.size() < cap) s.x.resize(cap);
-    if (s.h.size() < cap) s.h.resize(cap);
-    const auto feat = g.features.data();
-    std::copy(feat.begin(), feat.end(), s.x.begin());
-
-    s.inv_sqrt.assign(static_cast<std::size_t>(n), 1.f);
-    for (const std::int64_t d : g.edges.dst)
-      s.inv_sqrt[static_cast<std::size_t>(d)] += 1.f;
-    for (float& v : s.inv_sqrt) v = 1.f / std::sqrt(v);
-    const float* inv = s.inv_sqrt.data();
-
-    for (const Dense& l : gcn) {
-      const std::int64_t c = l.out;
-      apply_linear(l, s.x.data(), n, s.h.data());
-      float* out = s.x.data();
-      const float* h = s.h.data();
-      std::fill(out, out + n * c, 0.f);
-      for (std::size_t e = 0; e < g.edges.src.size(); ++e) {
-        const std::int64_t u = g.edges.src[e], v = g.edges.dst[e];
-        simd::axpy(out + v * c, inv[u] * inv[v], h + u * c, c);
-      }
-      for (std::int64_t v = 0; v < n; ++v)
-        simd::axpy(out + v * c, inv[v] * inv[v], h + v * c, c);
-      relu_inplace(out, n * c);
-    }
-    const std::int64_t d = gcn.back().out;
-
-    if (!cfg_.log_space_output) {
-      // Global mean pool, then the MLP on the pooled row.
-      std::vector<float>& pooled = s.h;
-      std::fill(pooled.begin(), pooled.begin() + d, 0.f);
-      for (std::int64_t v = 0; v < n; ++v)
-        simd::accumulate(pooled.data(), s.x.data() + v * d, d);
-      for (std::int64_t j = 0; j < d; ++j)
-        s.x[j] = pooled[j] / static_cast<float>(n);
-      run_mlp(s, 1);
-      return s.x[0];
-    }
-    // Additive head (see forward()): softplus per-node scores summed in
-    // node order.
-    run_mlp(s, n);
-    float total = 0.f;
-    for (std::int64_t v = 0; v < n; ++v) {
-      const float z = s.x[v];
-      total += (z > 0.f ? z : 0.f) + std::log(std::exp(-std::fabs(z)) + 1.f);
-    }
-    return total;
-  };
+  ForwardPlan plan;
+  plan.gcn = std::span<const Dense>(layers.data(), gcn_.size());
+  plan.mlp = std::span<const Dense>(layers.data() + gcn_.size(),
+                                    cfg_.mlp_dims.size());
+  plan.width = kFeatureDim;
+  for (const Dense& l : layers) plan.width = std::max(plan.width, l.out);
+  plan.log_space_output = cfg_.log_space_output;
+  plan.leaky_slope = cfg_.leaky_slope;
 
   // Graphs are independent, so splitting them across the pool cannot change
   // any answer.
@@ -385,11 +433,11 @@ std::vector<double> LatencyPredictor::predict_batch_ms(
   core::parallel_for(
       0, static_cast<std::int64_t>(archs.size()), 1,
       [&](std::int64_t lo, std::int64_t hi) {
-        Scratch s;
+        ForwardScratch s;
         for (std::int64_t i = lo; i < hi; ++i) {
           const auto k = static_cast<std::size_t>(i);
-          result[k] = score_to_ms(score(
-              arch_to_graph(archs[k], workload_, cfg_.device_slot), s));
+          result[k] = score_to_ms(body(
+              plan, arch_to_graph(archs[k], workload_, cfg_.device_slot), s));
         }
       });
   return result;

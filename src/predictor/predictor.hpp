@@ -100,6 +100,24 @@ struct PredictorMetrics {
   double rmse_ms = 0.0;
 };
 
+namespace detail {
+
+struct ForwardPlan;     // a predictor's linears and head, read in place
+struct ForwardScratch;  // per-thread buffers of the tape-free forward
+
+/// One graph's tape-free forward score (see predict_batch_ms), compiled
+/// twice from one body (core/simd.hpp): predict_batch_ms runs the AVX2
+/// entry when simd::cpu_has_avx2() and the baseline entry otherwise. The
+/// two give the same bytes; call the AVX2 entry only on a CPU that has it.
+using GraphScoreFn = float (*)(const ForwardPlan&, const ArchGraph&,
+                               ForwardScratch&);
+float graph_score_baseline(const ForwardPlan& plan, const ArchGraph& g,
+                           ForwardScratch& s);
+float graph_score_avx2(const ForwardPlan& plan, const ArchGraph& g,
+                       ForwardScratch& s);
+
+}  // namespace detail
+
 /// GCN + MLP latency regressor for one target device.
 class LatencyPredictor final : public nn::Module {
  public:
@@ -121,6 +139,11 @@ class LatencyPredictor final : public nn::Module {
   /// is not a latency). Safe to call concurrently (inference only reads
   /// the trained weights).
   std::vector<double> predict_batch_ms(std::span<const hgnas::Arch> archs);
+
+  /// predict_batch_ms through one named body of the per-graph forward
+  /// instead of the one this CPU selects, so tests can pin every body.
+  std::vector<double> predict_batch_ms(std::span<const hgnas::Arch> archs,
+                                       detail::GraphScoreFn body);
 
   /// The same prediction through the differentiable tape forward fit()
   /// trains: the reference predict_batch_ms is tested byte-equal against.

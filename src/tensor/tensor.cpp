@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -94,79 +95,141 @@ Tensor make_op(Shape shape, std::vector<float> data,
 
 // ---- matmul kernels ----------------------------------------------------------
 
-/// c_row[j0, j0 + W) = sum over the listed p of a_row[p] * b[p, j0 + j]:
-/// the tile's partial sums start at +0 and stay in registers while the
-/// listed rows of b stream past in ascending p, then are stored once.
-template <std::int64_t W>
-void matmul_tile(const float* arow, const float* b, std::int64_t n,
-                 std::span<const std::int32_t> ps, std::int64_t j0,
-                 float* crow) {
-  float acc[W] = {};
-  for (const std::int32_t p : ps) {
-    const float av = arow[p];
-    const float* brow = b + p * n + j0;
-#if defined(__GNUC__) && !defined(__clang__)
-// Without it gcc unroll-and-jams the p loop and scalarises the tile.
-#pragma GCC unroll 32
-#endif
-    for (std::int64_t j = 0; j < W; ++j) acc[j] += av * brow[j];
+/// c_row[j0, j0 + kVecs * lanes) = sum over the listed terms t of
+/// avs[t] * b[ps[t], j0 + j]: the tile's partial sums start at +0 and stay
+/// in kVecs registers of type Vec while the listed rows of b stream past in
+/// list order, then are stored once.
+template <class Vec, std::int64_t kVecs>
+HG_ALWAYS_INLINE void matmul_tile(const float* b, std::int64_t n,
+                                  const std::int32_t* ps, const float* avs,
+                                  std::int64_t count, std::int64_t j0,
+                                  float* crow) {
+  constexpr std::int64_t kLanes = sizeof(Vec) / sizeof(float);
+  Vec acc[kVecs] = {};
+  for (std::int64_t t = 0; t < count; ++t) {
+    const float av = avs[t];
+    const float* brow = b + ps[t] * n + j0;
+    for (std::int64_t v = 0; v < kVecs; ++v) {
+      Vec bv;
+      std::memcpy(&bv, brow + v * kLanes, sizeof bv);
+      acc[v] += av * bv;
+    }
   }
 #if defined(__GNUC__) && !defined(__clang__)
-// Without it gcc turns the store into a memcpy and spills `acc` to memory.
-#pragma GCC unroll 32
+// Without it gcc stores the accumulators through a stack copy.
+#pragma GCC unroll 8
 #endif
-  for (std::int64_t j = 0; j < W; ++j) crow[j0 + j] = acc[j];
+  for (std::int64_t v = 0; v < kVecs; ++v)
+    std::memcpy(crow + j0 + v * kLanes, &acc[v], sizeof acc[v]);
 }
 
-/// Stack room for a row's p list; wider inner dimensions use the heap.
+/// Stack room for a row's term list; wider inner dimensions use the heap.
 constexpr std::int64_t kStackInner = 256;
+
+// Register-blocked row kernel over A[i, p] = a[i * a_row + p * a_inner].
+// Per output row, the p terms that take part (all of them, or the non-zero
+// A[i, p] with `skip_zeros`) are listed once with their values; each column
+// tile — eight, four, two or one vectors wide, then a scalar tail — sums
+// them in ascending p from +0 in registers and stores once. The vector axis is the output
+// axis, never the reduction axis, so every element sees the naive loop's
+// operation sequence whatever the vector width, and the blocking is exact.
+template <class Vec>
+HG_ALWAYS_INLINE void matmul_rows_body(const float* a, std::int64_t a_row,
+                                       std::int64_t a_inner, const float* b,
+                                       float* c, std::int64_t k,
+                                       std::int64_t n, std::int64_t row_begin,
+                                       std::int64_t row_end, bool skip_zeros) {
+  constexpr std::int64_t kLanes = sizeof(Vec) / sizeof(float);
+  std::int32_t stack_ps[kStackInner];
+  float stack_avs[kStackInner];
+  std::vector<std::int32_t> heap_ps;
+  std::vector<float> heap_avs;
+  std::int32_t* ps = stack_ps;
+  float* avs = stack_avs;
+  if (k > kStackInner) {
+    heap_ps.resize(static_cast<std::size_t>(k));
+    heap_avs.resize(static_cast<std::size_t>(k));
+    ps = heap_ps.data();
+    avs = heap_avs.data();
+  }
+  for (std::int64_t i = row_begin; i < row_end; ++i) {
+    const float* arow = a + i * a_row;
+    float* crow = c + i * n;
+    std::int64_t count = 0;
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float av = arow[p * a_inner];
+      ps[count] = static_cast<std::int32_t>(p);
+      avs[count] = av;
+      count += !skip_zeros || av != 0.f;
+    }
+    std::int64_t j0 = 0;
+    for (; j0 + 8 * kLanes <= n; j0 += 8 * kLanes)
+      matmul_tile<Vec, 8>(b, n, ps, avs, count, j0, crow);
+    if (j0 + 4 * kLanes <= n) {
+      matmul_tile<Vec, 4>(b, n, ps, avs, count, j0, crow);
+      j0 += 4 * kLanes;
+    }
+    if (j0 + 2 * kLanes <= n) {
+      matmul_tile<Vec, 2>(b, n, ps, avs, count, j0, crow);
+      j0 += 2 * kLanes;
+    }
+    if (j0 + kLanes <= n) {
+      matmul_tile<Vec, 1>(b, n, ps, avs, count, j0, crow);
+      j0 += kLanes;
+    }
+    for (; j0 < n; ++j0) {
+      float acc = 0.f;
+      for (std::int64_t t = 0; t < count; ++t)
+        acc += avs[t] * b[ps[t] * n + j0];
+      crow[j0] = acc;
+    }
+  }
+}
 
 }  // namespace
 
 namespace detail {
 
-// Register-blocked row kernel. Per output row, the p terms that take part
-// (all of them, or the non-zero a[i, p] with `skip_zeros`) are listed once;
-// each column tile — 32, 16 or 8 wide, then a scalar tail — sums them in
-// ascending p from +0 in registers and stores once. The vector axis is the
-// output axis, never the reduction axis, so every element sees the naive
-// loop's operation sequence and the blocking is exact.
+void matmul_rows_baseline(const float* a, const float* b, float* c,
+                          std::int64_t k, std::int64_t n,
+                          std::int64_t row_begin, std::int64_t row_end,
+                          bool skip_zeros) {
+  matmul_rows_body<simd::f32x4>(a, k, 1, b, c, k, n, row_begin, row_end,
+                                skip_zeros);
+}
+
+HG_TARGET_AVX2 void matmul_rows_avx2(const float* a, const float* b, float* c,
+                                     std::int64_t k, std::int64_t n,
+                                     std::int64_t row_begin,
+                                     std::int64_t row_end, bool skip_zeros) {
+  matmul_rows_body<simd::f32x8>(a, k, 1, b, c, k, n, row_begin, row_end,
+                                skip_zeros);
+}
+
 void matmul_rows(const float* a, const float* b, float* c, std::int64_t k,
                  std::int64_t n, std::int64_t row_begin, std::int64_t row_end,
                  bool skip_zeros) {
-  std::int32_t stack_ps[kStackInner];
-  std::vector<std::int32_t> heap_ps;
-  std::int32_t* ps = stack_ps;
-  if (k > kStackInner) {
-    heap_ps.resize(static_cast<std::size_t>(k));
-    ps = heap_ps.data();
-  }
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::int64_t count = 0;
-    for (std::int64_t p = 0; p < k; ++p) {
-      ps[count] = static_cast<std::int32_t>(p);
-      count += !skip_zeros || arow[p] != 0.f;
-    }
-    const std::span<const std::int32_t> live(ps,
-                                             static_cast<std::size_t>(count));
-    std::int64_t j0 = 0;
-    for (; j0 + 32 <= n; j0 += 32) matmul_tile<32>(arow, b, n, live, j0, crow);
-    if (j0 + 16 <= n) {
-      matmul_tile<16>(arow, b, n, live, j0, crow);
-      j0 += 16;
-    }
-    if (j0 + 8 <= n) {
-      matmul_tile<8>(arow, b, n, live, j0, crow);
-      j0 += 8;
-    }
-    for (; j0 < n; ++j0) {
-      float acc = 0.f;
-      for (const std::int32_t p : live) acc += arow[p] * b[p * n + j0];
-      crow[j0] = acc;
-    }
-  }
+  (simd::cpu_has_avx2() ? matmul_rows_avx2 : matmul_rows_baseline)(
+      a, b, c, k, n, row_begin, row_end, skip_zeros);
+}
+
+// A^T @ b is the row kernel over the columns of a (a_row 1, a_inner m),
+// with the zero-skip: c[i, j] sums the non-zero a[p, i] * b[p, j] in
+// ascending p from +0, the historical p-outer axpy loop's sequence.
+void matmul_at_b_rows_baseline(const float* a, const float* b, float* c,
+                               std::int64_t m, std::int64_t k, std::int64_t n,
+                               std::int64_t row_begin, std::int64_t row_end) {
+  matmul_rows_body<simd::f32x4>(a, 1, m, b, c, k, n, row_begin, row_end,
+                                /*skip_zeros=*/true);
+}
+
+HG_TARGET_AVX2 void matmul_at_b_rows_avx2(const float* a, const float* b,
+                                          float* c, std::int64_t m,
+                                          std::int64_t k, std::int64_t n,
+                                          std::int64_t row_begin,
+                                          std::int64_t row_end) {
+  matmul_rows_body<simd::f32x8>(a, 1, m, b, c, k, n, row_begin, row_end,
+                                /*skip_zeros=*/true);
 }
 
 }  // namespace detail
@@ -182,25 +245,16 @@ void raw_matmul(const float* a, const float* b, float* c, std::int64_t m,
                      });
 }
 
-// c[m,n] += a^T[m,k_rows] ... specialised transposed products for backward.
 void raw_matmul_at_b(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
-  // a is [k, m] (we want a^T @ b), b is [k, n], c is [m, n]. Parallel over
-  // output rows i (columns of a); p ascends per element as in the serial
-  // p-outer loop, so results are unchanged.
-  core::parallel_for(
-      0, m, row_grain(k * n), [=](std::int64_t lo, std::int64_t hi) {
-        std::fill(c + lo * n, c + hi * n, 0.f);
-        for (std::int64_t p = 0; p < k; ++p) {
-          const float* arow = a + p * m;
-          const float* brow = b + p * n;
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const float av = arow[i];
-            if (av == 0.f) continue;
-            simd::axpy(c + i * n, av, brow, n);
-          }
-        }
-      });
+  // a is [k, m] (we want a^T @ b), b is [k, n], c is [m, n]; parallel over
+  // output rows i (columns of a).
+  const auto body = simd::cpu_has_avx2() ? detail::matmul_at_b_rows_avx2
+                                         : detail::matmul_at_b_rows_baseline;
+  core::parallel_for(0, m, row_grain(k * n),
+                     [=](std::int64_t lo, std::int64_t hi) {
+                       body(a, b, c, m, k, n, lo, hi);
+                     });
 }
 
 void raw_matmul_a_bt(const float* a, const float* b, float* c, std::int64_t m,
@@ -702,18 +756,22 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   raw_matmul(a.data().data(), b.data().data(), out.data(), m, k, n);
 
   return make_op({m, n}, std::move(out), {a, b}, [&] {
-    return [m, k, n, a_copy = std::vector<float>(a.data().begin(),
-                                                 a.data().end()),
-            b_copy = std::vector<float>(b.data().begin(), b.data().end())](
-               Impl& self) {
+    // ga = g @ b^T reads only b and gb = a^T @ g only a, so each operand is
+    // copied only when the other one's gradient is recorded.
+    const bool grad_a = a.requires_grad(), grad_b = b.requires_grad();
+    std::vector<float> a_copy, b_copy;
+    if (grad_b) a_copy.assign(a.data().begin(), a.data().end());
+    if (grad_a) b_copy.assign(b.data().begin(), b.data().end());
+    return [m, k, n, grad_a, grad_b, a_copy = std::move(a_copy),
+            b_copy = std::move(b_copy)](Impl& self) {
       Impl& pa = *self.parents[0];
       Impl& pb = *self.parents[1];
-      if (pa.requires_grad) {
+      if (grad_a && pa.requires_grad) {
         std::vector<float> ga(static_cast<std::size_t>(m * k));
         raw_matmul_a_bt(self.grad.data(), b_copy.data(), ga.data(), m, n, k);
         pa.accumulate_grad(ga);
       }
-      if (pb.requires_grad) {
+      if (grad_b && pb.requires_grad) {
         std::vector<float> gb(static_cast<std::size_t>(k * n));
         raw_matmul_at_b(a_copy.data(), self.grad.data(), gb.data(), k, m, n);
         pb.accumulate_grad(gb);

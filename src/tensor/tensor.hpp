@@ -73,16 +73,40 @@ struct IndexCsr {
 IndexCsr group_by_index(std::span<const std::int64_t> index,
                         std::int64_t num_buckets, const char* what);
 
-/// The one forward matmul kernel: rows [row_begin, row_end) of
+/// The one matmul row kernel: rows [row_begin, row_end) of
 /// c[*, n] = a[*, k] @ b[k, n], all row-major, serial (callers split rows
 /// across the pool). Each c[i, j] accumulates a[i, p] * b[p, j] from +0 in
 /// ascending p, one rounded multiply and one rounded add per term, so the
 /// result is bit-identical to the naive triple loop. With `skip_zeros`,
 /// terms whose a[i, p] == 0 are left out (an inf or NaN in b behind a zero
 /// of a never reaches c), as the forward matmul always has.
+///
+/// One body compiled twice (see core/simd.hpp): matmul_rows runs
+/// matmul_rows_avx2 when simd::cpu_has_avx2() and matmul_rows_baseline
+/// otherwise. The two give the same bits; call the AVX2 entry only on a
+/// CPU that has AVX2.
 void matmul_rows(const float* a, const float* b, float* c, std::int64_t k,
                  std::int64_t n, std::int64_t row_begin, std::int64_t row_end,
                  bool skip_zeros);
+void matmul_rows_baseline(const float* a, const float* b, float* c,
+                          std::int64_t k, std::int64_t n,
+                          std::int64_t row_begin, std::int64_t row_end,
+                          bool skip_zeros);
+void matmul_rows_avx2(const float* a, const float* b, float* c,
+                      std::int64_t k, std::int64_t n, std::int64_t row_begin,
+                      std::int64_t row_end, bool skip_zeros);
+
+/// Rows [row_begin, row_end) of c[m, n] = a[k, m]^T @ b[k, n], serial: the
+/// row kernel above over the columns of a, zero-skip on (c[i, j] sums the
+/// non-zero a[p, i] * b[p, j] in ascending p from +0). matmul's backward
+/// runs it for the right operand's gradient; the two entries are chosen
+/// like matmul_rows'.
+void matmul_at_b_rows_baseline(const float* a, const float* b, float* c,
+                               std::int64_t m, std::int64_t k, std::int64_t n,
+                               std::int64_t row_begin, std::int64_t row_end);
+void matmul_at_b_rows_avx2(const float* a, const float* b, float* c,
+                           std::int64_t m, std::int64_t k, std::int64_t n,
+                           std::int64_t row_begin, std::int64_t row_end);
 
 /// Build a custom autograd op outside tensor.cpp (fused kernels). Decides
 /// requires_grad from `parents` and records the tape edge exactly like the

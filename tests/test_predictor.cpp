@@ -10,9 +10,11 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "core/simd.hpp"
 #include "predictor/predictor.hpp"
 
 namespace hg::predictor {
@@ -252,7 +254,13 @@ TEST(Predictor, TapeFreeInferenceByteEqualToTapeForward) {
   // predict_batch_ms runs its own forward without the autograd tape; every
   // answer must be byte-equal to the tape forward fit() trains through, for
   // both heads, at every pool width, and still after a refit (the weights
-  // are read in place, so nothing can go stale).
+  // are read in place, so nothing can go stale). That holds for the body
+  // this CPU selects and for every compiled body it can run: the baseline
+  // always, the AVX2 body when the CPU has AVX2.
+  std::vector<std::pair<const char*, detail::GraphScoreFn>> bodies = {
+      {"baseline", detail::graph_score_baseline}};
+  if (simd::cpu_has_avx2())
+    bodies.emplace_back("avx2", detail::graph_score_avx2);
   hw::Device dev = hw::make_device(hw::DeviceKind::Rtx3080);
   const auto train =
       collect_labeled_archs(dev, test_space(), test_workload(), 40, 31);
@@ -273,6 +281,11 @@ TEST(Predictor, TapeFreeInferenceByteEqualToTapeForward) {
         EXPECT_TRUE(bytes_equal(pred.predict_batch_ms(archs), reference))
             << "log_space " << log_space << " fit " << round + 1
             << " threads " << threads;
+        for (const auto& [name, body] : bodies)
+          EXPECT_TRUE(
+              bytes_equal(pred.predict_batch_ms(archs, body), reference))
+              << name << " log_space " << log_space << " fit " << round + 1
+              << " threads " << threads;
       }
     }
   }

@@ -7,7 +7,9 @@
 // NaN challengers, unset argmax lanes). On top of the helpers, the
 // public ops that call them (matmul forward/backward, aggregate_fused,
 // the KNN builders) are checked against naive in-test references that
-// spell out the historical arithmetic order.
+// spell out the historical arithmetic order. The run-time-dispatched
+// matmul kernels are checked body by body: the baseline entry always, the
+// AVX2 entry whenever this CPU can run it, not only the selected one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -212,10 +214,29 @@ std::vector<float> naive_matmul(const std::vector<float>& a,
   return c;
 }
 
-/// Output widths that take every column-tile path of the matmul kernel:
-/// scalar tail only, one 8-tile, 16, 32, 32 + tail, 32 + 8 + tail, many
-/// 32-tiles.
-const std::int64_t kMatmulWidths[] = {1, 7, 8, 13, 16, 32, 33, 41, 64, 256};
+/// Output widths that take every column-tile path of both matmul bodies
+/// (tiles of 8, 4, 2 and 1 vectors of 4 or 8 lanes, then a scalar tail):
+/// tail only, one tile of each size alone, a tile plus a tail, every tile
+/// size plus a tail (127), many widest tiles.
+const std::int64_t kMatmulWidths[] = {1,  4,  7,  8,  13, 16,  32,
+                                      33, 41, 64, 96, 127, 256};
+
+/// The compiled bodies of the run-time-dispatched matmul kernels that this
+/// CPU can run: the baseline always, the AVX2 body when the CPU has AVX2.
+struct MatmulBody {
+  const char* name;
+  decltype(&detail::matmul_rows_baseline) rows;
+  decltype(&detail::matmul_at_b_rows_baseline) at_b;
+};
+
+std::vector<MatmulBody> matmul_bodies() {
+  std::vector<MatmulBody> bodies = {{"baseline", detail::matmul_rows_baseline,
+                                     detail::matmul_at_b_rows_baseline}};
+  if (simd::cpu_has_avx2())
+    bodies.push_back(
+        {"avx2", detail::matmul_rows_avx2, detail::matmul_at_b_rows_avx2});
+  return bodies;
+}
 
 /// Inner dimensions up to 256 (the kernel's stack buffer for a row's p
 /// list), plus 257: one past it, onto the heap.
@@ -232,95 +253,145 @@ std::vector<float> sparse_lhs(std::int64_t m, std::int64_t k, Rng& rng) {
 }
 
 TEST(SimdOps, MatmulForwardBitIdenticalToNaiveReference) {
-  // matmul's forward kernel against the naive zero-skipping loop, bitwise:
-  // every column-tile path, inner dimensions past the stack buffer, zeros
-  // and -0.0 in a, -0.0 in b, and an inf / NaN in b rows that only ever
-  // meet a zero of a. Pool width 3 splits the larger shapes across rows.
+  // The forward row kernel against the naive zero-skipping loop, bitwise:
+  // every compiled body called directly (two calls that split the rows),
+  // then the matmul op (the selected body) at pool widths 1 and 3, which
+  // split the larger shapes across rows. Every column-tile path, inner
+  // dimensions past the stack buffer, zeros and -0.0 in a, -0.0 in b, and
+  // an inf / NaN in b rows that only ever meet a zero of a.
   Rng rng(21);
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
-    core::ScopedNumThreads scoped(threads);
-    for (const std::int64_t k : kMatmulInner)
-      for (const std::int64_t n : kMatmulWidths) {
-        const std::int64_t m = (k * n >= 64 * 64) ? 37 : 5;
-        auto av = sparse_lhs(m, k, rng);
-        auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
-        for (std::size_t i = 0; i < bv.size(); i += 11) bv[i] = -0.f;
-        // Column p = k - 1 of a is all zero, so row k - 1 of b is never
-        // read by the reference: poison it.
-        for (std::int64_t i = 0; i < m; ++i)
-          av[static_cast<std::size_t>(i * k + k - 1)] = (i % 2) ? 0.f : -0.f;
-        for (std::int64_t j = 0; j < n; ++j)
-          bv[static_cast<std::size_t>((k - 1) * n + j)] =
-              (j % 3 == 0) ? nan : ((j % 3 == 1) ? inf : -inf);
+  for (const std::int64_t k : kMatmulInner)
+    for (const std::int64_t n : kMatmulWidths) {
+      const std::int64_t m = (k * n >= 64 * 64) ? 37 : 5;
+      auto av = sparse_lhs(m, k, rng);
+      auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
+      for (std::size_t i = 0; i < bv.size(); i += 11) bv[i] = -0.f;
+      // Column p = k - 1 of a is all zero, so row k - 1 of b is never
+      // read by the reference: poison it.
+      for (std::int64_t i = 0; i < m; ++i)
+        av[static_cast<std::size_t>(i * k + k - 1)] = (i % 2) ? 0.f : -0.f;
+      for (std::int64_t j = 0; j < n; ++j)
+        bv[static_cast<std::size_t>((k - 1) * n + j)] =
+            (j % 3 == 0) ? nan : ((j % 3 == 1) ? inf : -inf);
+      const std::vector<float> want = naive_matmul(av, bv, m, k, n);
+      for (const MatmulBody& body : matmul_bodies()) {
+        std::vector<float> got(static_cast<std::size_t>(m * n), nan);
+        body.rows(av.data(), bv.data(), got.data(), k, n, 0, m / 2,
+                  /*skip_zeros=*/true);
+        body.rows(av.data(), bv.data(), got.data(), k, n, m / 2, m,
+                  /*skip_zeros=*/true);
+        EXPECT_TRUE(bits_equal(got, want))
+            << body.name << " m=" << m << " k=" << k << " n=" << n;
+      }
+      for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+        core::ScopedNumThreads scoped(threads);
         const Tensor c = matmul(Tensor::from_vector({m, k}, av),
                                 Tensor::from_vector({k, n}, bv));
         const std::vector<float> got(c.data().begin(), c.data().end());
-        EXPECT_TRUE(bits_equal(got, naive_matmul(av, bv, m, k, n)))
-            << "threads=" << threads << " m=" << m << " k=" << k
-            << " n=" << n;
+        EXPECT_TRUE(bits_equal(got, want)) << "op threads=" << threads
+                                           << " m=" << m << " k=" << k
+                                           << " n=" << n;
       }
-  }
+    }
 }
 
 TEST(SimdOps, MatmulBackwardBitIdenticalToNaiveReference) {
-  // The backward pass runs the other two kernels: ga = g @ b^T
-  // (raw_matmul_a_bt: the forward kernel without zero-skip over a
-  // transposed b) and gb = a^T @ g (raw_matmul_at_b). References
-  // accumulate in ascending order from +0, the same arithmetic. The seed
-  // holds zeros and -0.0, b holds -0.0 and an inf that meets a zero of the
-  // seed (ga[0, 0] is NaN: the a @ b^T reference has no zero-skip); pool
-  // width 3 splits the larger shapes across rows.
+  // The backward pass runs the two other kernel shapes: ga = g @ b^T
+  // (raw_matmul_a_bt: the row kernel without zero-skip over a transposed
+  // b) and gb = a^T @ g (the at_b entry, zero-skip on a). Every compiled
+  // body is called directly (two calls that split the rows), then the op's
+  // backward (the selected body) runs at pool widths 1 and 3. References
+  // accumulate in ascending order from +0, the same arithmetic. a holds
+  // zeros and -0.0, and g holds an inf behind a zero of a (a[0, 1]), so
+  // gb[1, n - 1] is finite only with the zero-skip. g holds zeros and
+  // -0.0 too, and b holds -0.0 and an inf that meets a zero of g (ga[0, 0]
+  // is NaN: the g @ b^T reference has no zero-skip).
   Rng rng(22);
   const float inf = std::numeric_limits<float>::infinity();
-  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
-    core::ScopedNumThreads scoped(threads);
-    for (const std::int64_t k : kMatmulWidths)
-      for (const std::int64_t n : kMatmulInner) {
-        const std::int64_t m = (k * n >= 64 * 64) ? 37 : 5;
-        const auto av = random_floats(static_cast<std::size_t>(m * k), rng);
-        auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
-        for (std::size_t i = 1; i < bv.size(); i += 11) bv[i] = -0.f;
-        bv[0] = inf;
-        auto seed = sparse_lhs(m, n, rng);
-        seed[0] = 0.f;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::int64_t k : kMatmulWidths)
+    for (const std::int64_t n : kMatmulInner) {
+      const std::int64_t m = (k * n >= 64 * 64) ? 37 : 5;
+      const auto av = sparse_lhs(m, k, rng);
+      auto bv = random_floats(static_cast<std::size_t>(k * n), rng);
+      for (std::size_t i = 1; i < bv.size(); i += 11) bv[i] = -0.f;
+      bv[0] = inf;
+      auto seed = sparse_lhs(m, n, rng);
+      seed[0] = 0.f;
+      if (n > 1) seed[static_cast<std::size_t>(n - 1)] = inf;
 
+      // ga[i,p] = sum_j g[i,j] * b[p,j] — ascending j, no zero-skip.
+      std::vector<float> ga(static_cast<std::size_t>(m * k));
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t p = 0; p < k; ++p) {
+          float acc = 0.f;
+          for (std::int64_t j = 0; j < n; ++j)
+            acc += seed[static_cast<std::size_t>(i * n + j)] *
+                   bv[static_cast<std::size_t>(p * n + j)];
+          ga[static_cast<std::size_t>(i * k + p)] = acc;
+        }
+      // gb[p,j] = sum_i a[i,p] * g[i,j] — ascending i, zeros of a skipped.
+      std::vector<float> gb(static_cast<std::size_t>(k * n));
+      for (std::int64_t p = 0; p < k; ++p)
+        for (std::int64_t j = 0; j < n; ++j) {
+          float acc = 0.f;
+          for (std::int64_t i = 0; i < m; ++i) {
+            const float a_ip = av[static_cast<std::size_t>(i * k + p)];
+            if (a_ip == 0.f) continue;
+            acc += a_ip * seed[static_cast<std::size_t>(i * n + j)];
+          }
+          gb[static_cast<std::size_t>(p * n + j)] = acc;
+        }
+
+      std::vector<float> bt(static_cast<std::size_t>(n * k));  // b^T [n, k]
+      for (std::int64_t p = 0; p < k; ++p)
+        for (std::int64_t j = 0; j < n; ++j)
+          bt[static_cast<std::size_t>(j * k + p)] =
+              bv[static_cast<std::size_t>(p * n + j)];
+      for (const MatmulBody& body : matmul_bodies()) {
+        std::vector<float> got_a(ga.size(), nan), got_b(gb.size(), nan);
+        body.rows(seed.data(), bt.data(), got_a.data(), n, k, 0, m / 2,
+                  /*skip_zeros=*/false);
+        body.rows(seed.data(), bt.data(), got_a.data(), n, k, m / 2, m,
+                  /*skip_zeros=*/false);
+        body.at_b(av.data(), seed.data(), got_b.data(), k, m, n, 0, k / 2);
+        body.at_b(av.data(), seed.data(), got_b.data(), k, m, n, k / 2, k);
+        EXPECT_TRUE(bits_equal(got_a, ga))
+            << "ga " << body.name << " m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(bits_equal(got_b, gb))
+            << "gb " << body.name << " m=" << m << " k=" << k << " n=" << n;
+      }
+      for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+        core::ScopedNumThreads scoped(threads);
         Tensor a = Tensor::from_vector({m, k}, av, /*requires_grad=*/true);
         Tensor b = Tensor::from_vector({k, n}, bv, /*requires_grad=*/true);
         Tensor c = matmul(a, b);
         c.backward(seed);
-
-        // ga[i,p] = sum_j g[i,j] * b[p,j] — ascending j, no zero-skip.
-        std::vector<float> ga(static_cast<std::size_t>(m * k));
-        for (std::int64_t i = 0; i < m; ++i)
-          for (std::int64_t p = 0; p < k; ++p) {
-            float acc = 0.f;
-            for (std::int64_t j = 0; j < n; ++j)
-              acc += seed[static_cast<std::size_t>(i * n + j)] *
-                     bv[static_cast<std::size_t>(p * n + j)];
-            ga[static_cast<std::size_t>(i * k + p)] = acc;
-          }
-        // gb[p,j] = sum_i a[i,p] * g[i,j] — ascending i.
-        std::vector<float> gb(static_cast<std::size_t>(k * n));
-        for (std::int64_t p = 0; p < k; ++p)
-          for (std::int64_t j = 0; j < n; ++j) {
-            float acc = 0.f;
-            for (std::int64_t i = 0; i < m; ++i)
-              acc += av[static_cast<std::size_t>(i * k + p)] *
-                     seed[static_cast<std::size_t>(i * n + j)];
-            gb[static_cast<std::size_t>(p * n + j)] = acc;
-          }
         const std::vector<float> got_a(a.grad().begin(), a.grad().end());
         const std::vector<float> got_b(b.grad().begin(), b.grad().end());
         EXPECT_TRUE(bits_equal(got_a, ga))
-            << "ga threads=" << threads << " m=" << m << " k=" << k
+            << "ga op threads=" << threads << " m=" << m << " k=" << k
             << " n=" << n;
         EXPECT_TRUE(bits_equal(got_b, gb))
-            << "gb threads=" << threads << " m=" << m << " k=" << k
+            << "gb op threads=" << threads << " m=" << m << " k=" << k
             << " n=" << n;
       }
-  }
+    }
+}
+
+TEST(SimdDispatch, SelectsAvx2ExactlyWhenTheCpuHasIt) {
+  // The run-time dispatch may not fall back silently: on x86-64 the AVX2
+  // bodies run exactly when the CPU reports AVX2, and nowhere else.
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool has_avx2 = false;
+#endif
+  EXPECT_EQ(simd::cpu_has_avx2(), has_avx2);
+  EXPECT_STREQ(simd::kernel_isa(), has_avx2 ? "avx2" : "baseline");
 }
 
 TEST(SimdOps, FusedAggregateMatrixBitIdenticalToMaterialized) {
